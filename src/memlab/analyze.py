@@ -14,21 +14,25 @@ from .core import ConfigError, Drive, MemlabError, Trajectory
 from .integrate import SimControls, SimulationError, simulate
 
 
-def _zero_crossings(a: np.ndarray, b: np.ndarray):
+def _zero_crossings(a: np.ndarray, b: np.ndarray) -> list[tuple[int, float, float]]:
     """Sign changes of a, with b linearly interpolated at each crossing.
 
-    Yields (index, fraction, b_star). A sample exactly at zero counts as a
-    crossing at fraction 0.
+    Returns [(index, fraction, b_star), ...] in index order. A sample exactly
+    at zero counts as a crossing at fraction 0.
     """
-    for k in range(len(a) - 1):
-        a0, a1 = a[k], a[k + 1]
-        if a0 == 0.0:
-            yield k, 0.0, float(b[k])
-        elif a0 * a1 < 0.0:
-            frac = a0 / (a0 - a1)
-            yield k, float(frac), float(b[k] + frac * (b[k + 1] - b[k]))
+    a = np.asarray(a)
+    a0, a1 = a[:-1], a[1:]
+    out = []
+    for k in np.flatnonzero((a0 == 0.0) | (a0 * a1 < 0.0)).tolist():
+        ak = a[k]
+        if ak == 0.0:
+            out.append((k, 0.0, float(b[k])))
+        else:
+            frac = ak / (ak - a[k + 1])
+            out.append((k, float(frac), float(b[k] + frac * (b[k + 1] - b[k]))))
     if len(a) and a[-1] == 0.0:
-        yield len(a) - 1, 0.0, float(b[-1])
+        out.append((len(a) - 1, 0.0, float(b[-1])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +197,13 @@ def per_cycle_drifts(traj: Trajectory) -> list[tuple[float, float]]:
 
 
 def _monotone_runs(q: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal index ranges over which q never reverses; flat steps join the
+    run around them."""
     d = np.sign(np.diff(q))
-    runs: list[tuple[int, int]] = []
-    start = 0
-    cur = 0.0
-    for k in range(len(d)):
-        dk = d[k]
-        if dk == 0.0:
-            continue
-        if cur == 0.0:
-            cur = dk
-        elif dk != cur:
-            runs.append((start, k))
-            start = k
-            cur = dk
-    runs.append((start, len(q) - 1))
+    moving = np.flatnonzero(d != 0.0)
+    signs = d[moving]
+    cuts = moving[1:][signs[1:] != signs[:-1]].tolist()
+    runs = list(zip([0, *cuts], [*cuts, len(q) - 1]))
     return [r for r in runs if r[1] > r[0]]
 
 

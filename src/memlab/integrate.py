@@ -189,6 +189,9 @@ class _Engine:
         if drive_offsets:
             specs.append((drive.period, drive_offsets))
         self.specs = specs
+        # one state and nothing that can split a step: every grid interval is
+        # one plain RK4 step, run by a loop specialised for it
+        self.plain = model.state_dim == 1 and not model.thresholds and not specs
 
     def _hits_break(self, t: float) -> bool:
         for period, offsets in self.specs:
@@ -266,6 +269,93 @@ class _Engine:
         )
         return subs[-1][1]
 
+    def march(self, x: tuple, k0: int, k1: int, rec: _Record | None = None) -> tuple:
+        """Step x across grid intervals k0..k1-1 and return the final state.
+
+        With rec, the state after interval k is recorded in row k + 1 - k0.
+        Raises BlowUpError when the state overflows or stops being finite.
+        """
+        if self.plain:
+            return self._march_plain(x, k0, k1, rec)
+        dt = self.dt
+        for k in range(k0, k1):
+            t1 = (k + 1) * dt
+            try:
+                x = self.grid_step(x, k * dt, t1)
+            except OverflowError:
+                raise BlowUpError(f"state overflow at t = {t1}", t1) from None
+            for xi in x:
+                if not math.isfinite(xi):
+                    raise BlowUpError(f"state became non-finite at t = {t1}", t1)
+            if rec is not None:
+                rec.put(k + 1 - k0, t1, x)
+        return x
+
+    def _march_plain(self, x: tuple, k0: int, k1: int, rec: _Record | None) -> tuple:
+        # grid_step for a one-state model with no events, inlined: locate_events
+        # makes one step over [t0, t0 + (t1 - t0)] and step evaluates its
+        # stages at the interval ends without a nudge. The same operations run
+        # in the same order, so the samples are bit-identical to grid_step's.
+        dt = self.dt
+        value = self.drive.value
+        f = self.model.f
+        isfinite = math.isfinite
+        for k in range(k0, k1):
+            a = k * dt
+            t1 = (k + 1) * dt
+            b = a + (t1 - a)
+            h = b - a
+            tm = a + 0.5 * h
+            try:
+                u1 = value(a)
+                um = value(tm)
+                u4 = value(b)
+                x0 = x[0]
+                c1 = f(x, u1, a)[0]
+                h2 = 0.5 * h
+                c2 = f((x0 + h2 * c1,), um, tm)[0]
+                c3 = f((x0 + h2 * c2,), um, tm)[0]
+                c4 = f((x0 + h * c3,), u4, b)[0]
+                h6 = h / 6.0
+                x = (x0 + h6 * (c1 + 2.0 * (c2 + c3) + c4),)
+            except OverflowError:
+                raise BlowUpError(f"state overflow at t = {t1}", t1) from None
+            if not isfinite(x[0]):
+                raise BlowUpError(f"state became non-finite at t = {t1}", t1)
+            if rec is not None:
+                rec.put(k + 1 - k0, t1, x)
+        return x
+
+
+class _Record:
+    """Sample columns of one recorded stretch, filled row by row."""
+
+    def __init__(self, model, drive: Drive, rows: int):
+        self.model = model
+        self.drive = drive
+        self.t = np.empty(rows)
+        self.u = np.empty(rows)
+        self.y = np.empty(rows)
+        self.state = np.empty((rows, model.state_dim))
+
+    def put(self, row: int, t: float, x: tuple) -> None:
+        u = self.drive.value(t)
+        try:
+            y = self.model.output(x, u, t)
+        except (OverflowError, ModelEvaluationError) as exc:
+            raise BlowUpError(f"output not finite at t = {t}: {exc}", t) from None
+        self.t[row] = t
+        self.u[row] = u
+        self.y[row] = y
+        self.state[row] = x
+
+    def trajectory(self, dt: float, n: int) -> Trajectory:
+        v, i = terminal_pair(self.model.input_kind, self.u, self.y)
+        traj = Trajectory(
+            dt=dt, t=self.t, u=self.u, y=self.y, v=v, i=i, state=self.state, steps_per_cycle=n
+        )
+        return accumulate_integrals(traj)
+
 
 def _initial_state(model, x0) -> tuple:
     x = tuple(model.initial_state) if x0 is None else tuple(float(v) for v in x0)
@@ -291,51 +381,13 @@ def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
     engine = _Engine(model, drive, dt, event_tol)
 
     x = _initial_state(model, x0)
-    total_steps = n * (controls.transient_cycles + controls.record_cycles)
     first_kept = n * controls.transient_cycles
-    kept = total_steps - first_kept + 1
-
-    t_arr = np.empty(kept)
-    u_arr = np.empty(kept)
-    y_arr = np.empty(kept)
-    state_arr = np.empty((kept, model.state_dim))
-
-    def record(idx: int, t: float, state: tuple):
-        u = drive.value(t)
-        t_arr[idx] = t
-        u_arr[idx] = u
-        y_arr[idx] = model.output(state, u, t)
-        state_arr[idx] = state
-
-    if first_kept == 0:
-        record(0, 0.0, x)
-    for k in range(total_steps):
-        t1 = (k + 1) * dt
-        try:
-            x = engine.grid_step(x, k * dt, t1)
-        except OverflowError:
-            raise BlowUpError(f"state overflow at t = {t1}", t1) from None
-        for xi in x:
-            if not math.isfinite(xi):
-                raise BlowUpError(f"state became non-finite at t = {t1}", t1)
-        if k + 1 >= first_kept:
-            try:
-                record(k + 1 - first_kept, t1, x)
-            except (OverflowError, ModelEvaluationError) as exc:
-                raise BlowUpError(f"output not finite at t = {t1}: {exc}", t1) from None
-
-    v_arr, i_arr = terminal_pair(model.input_kind, u_arr, y_arr)
-    traj = Trajectory(
-        dt=dt,
-        t=t_arr,
-        u=u_arr,
-        y=y_arr,
-        v=v_arr,
-        i=i_arr,
-        state=state_arr,
-        steps_per_cycle=n,
-    )
-    return accumulate_integrals(traj)
+    total_steps = first_kept + n * controls.record_cycles
+    x = engine.march(x, 0, first_kept)
+    rec = _Record(model, drive, total_steps - first_kept + 1)
+    rec.put(0, first_kept * dt, x)
+    engine.march(x, first_kept, total_steps, rec)
+    return rec.trajectory(dt, n)
 
 
 def _cycle_residual(prev: np.ndarray, cur: np.ndarray) -> float:
@@ -365,49 +417,18 @@ def detect_steady_state(model, drive: Drive, controls: SimControls, x0=None) -> 
     budget = max(2, 10 * controls.transient_cycles)
 
     x = _initial_state(model, x0)
-    prev: dict | None = None
+    prev: _Record | None = None
     last_residual = math.inf
     for c in range(budget):
         base = c * n
-        t_arr = np.empty(n + 1)
-        u_arr = np.empty(n + 1)
-        y_arr = np.empty(n + 1)
-        state_arr = np.empty((n + 1, model.state_dim))
-        for k in range(n + 1):
-            t = (base + k) * dt
-            if k > 0:
-                try:
-                    x = engine.grid_step(x, (base + k - 1) * dt, t)
-                except OverflowError:
-                    raise BlowUpError(f"state overflow at t = {t}", t) from None
-                for xi in x:
-                    if not math.isfinite(xi):
-                        raise BlowUpError(f"state became non-finite at t = {t}", t)
-            u = drive.value(t)
-            t_arr[k] = t
-            u_arr[k] = u
-            try:
-                y_arr[k] = model.output(x, u, t)
-            except (OverflowError, ModelEvaluationError) as exc:
-                raise BlowUpError(f"output not finite at t = {t}: {exc}", t) from None
-            state_arr[k] = x
-        cycle = {"t": t_arr, "u": u_arr, "y": y_arr, "state": state_arr}
+        rec = _Record(model, drive, n + 1)
+        rec.put(0, base * dt, x)
+        x = engine.march(x, base, base + n, rec)
         if prev is not None:
-            last_residual = _cycle_residual(prev["state"], state_arr)
+            last_residual = _cycle_residual(prev.state, rec.state)
             if last_residual < controls.steady_state_rel_tol:
-                v_arr, i_arr = terminal_pair(model.input_kind, prev["u"], prev["y"])
-                traj = Trajectory(
-                    dt=dt,
-                    t=prev["t"],
-                    u=prev["u"],
-                    y=prev["y"],
-                    v=v_arr,
-                    i=i_arr,
-                    state=prev["state"],
-                    steps_per_cycle=n,
-                )
-                return accumulate_integrals(traj)
-        prev = cycle
+                return prev.trajectory(dt, n)
+        prev = rec
     raise SteadyStateError(
         f"no steady state within {budget} cycles; last residual {last_residual:.3e}",
         last_residual,

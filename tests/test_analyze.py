@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memlab import (
     ConfigError,
@@ -24,7 +26,7 @@ from memlab import (
     switched_network,
     terminal_pair,
 )
-from memlab.analyze import LoopArea
+from memlab.analyze import LoopArea, _monotone_runs, _zero_crossings
 
 
 def _traj_from_vi(v, i, dt=1e-3, steps_per_cycle=None, phi=None, q=None):
@@ -251,3 +253,72 @@ def test_sweep_monotonicity_verdicts():
     flat = [_point(0.1, 0.5), _point(0.2, 0.5)]
     assert sweep_monotonicity(flat) == "not strictly decreasing"
     assert sweep_monotonicity([_point(0.1, 0.5)]) == "trivially true"
+
+
+# ---------------------------------------------------------------------------
+# crossing and monotone-run scans against plain per-sample loops
+
+
+def _zero_crossings_loop(a, b):
+    for k in range(len(a) - 1):
+        a0, a1 = a[k], a[k + 1]
+        if a0 == 0.0:
+            yield k, 0.0, float(b[k])
+        elif a0 * a1 < 0.0:
+            frac = a0 / (a0 - a1)
+            yield k, float(frac), float(b[k] + frac * (b[k + 1] - b[k]))
+    if len(a) and a[-1] == 0.0:
+        yield len(a) - 1, 0.0, float(b[-1])
+
+
+def _monotone_runs_loop(q):
+    d = np.sign(np.diff(q))
+    runs = []
+    start = 0
+    cur = 0.0
+    for k in range(len(d)):
+        dk = d[k]
+        if dk == 0.0:
+            continue
+        if cur == 0.0:
+            cur = dk
+        elif dk != cur:
+            runs.append((start, k))
+            start = k
+            cur = dk
+    runs.append((start, len(q) - 1))
+    return [r for r in runs if r[1] > r[0]]
+
+
+# exact and signed zeros, repeats, and magnitudes whose products underflow to
+# zero (1e-200 * -1e-200) or stay subnormal (5e-324 * -1.0)
+_SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-200, -1e-200, 5e-324, -5e-324]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+def _with_zero_ends(values, ends):
+    a = np.array(values, dtype=float)
+    if len(a):
+        if ends[0]:
+            a[0] = 0.0
+        if ends[1]:
+            a[-1] = 0.0
+    return a
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(_SAMPLES, _SAMPLES), max_size=40), st.tuples(st.booleans(), st.booleans()))
+def test_zero_crossings_match_the_loop(pairs, ends):
+    a = _with_zero_ends([p[0] for p in pairs], ends)
+    b = np.array([p[1] for p in pairs], dtype=float)
+    # repr tells -0.0 from 0.0 and keeps int and float apart
+    assert repr(_zero_crossings(a, b)) == repr(list(_zero_crossings_loop(a, b)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_SAMPLES, max_size=40), st.tuples(st.booleans(), st.booleans()))
+def test_monotone_runs_match_the_loop(values, ends):
+    q = _with_zero_ends(values, ends)
+    assert _monotone_runs(q) == _monotone_runs_loop(q)

@@ -1,11 +1,13 @@
+import csv
 import json
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
-from memlab import preset_names
-from memlab.cli import build_report, main
+from memlab import SignalKind, Trajectory, preset_names, terminal_pair
+from memlab.cli import CSV_CHUNK_ROWS, build_report, main, write_trajectory_csv
 
 FAST_DSL = """
 experiment quick
@@ -138,3 +140,58 @@ def test_build_report_matches_schema(name, presets, sims):
     report = build_report(presets[name], sims(name), wall_time_s=0.0)
     jsonschema.validate(report, _schema("runreport.schema.json"))
     assert report["experiment"] == name
+
+
+# ---------------------------------------------------------------------------
+# trajectory CSV against the standard library writer
+
+
+def _csv_oracle(path, traj):
+    header = ["t", "u", "y", "v", "i", "phi", "q"]
+    header += [f"state{k}" for k in range(traj.state.shape[1])]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(len(traj)):
+            row = [traj.t[k], traj.u[k], traj.y[k], traj.v[k], traj.i[k], traj.phi[k], traj.q[k]]
+            row += [traj.state[k, j] for j in range(traj.state.shape[1])]
+            writer.writerow([repr(float(x)) for x in row])
+
+
+def _trajectory(rows, kind=SignalKind.CURRENT, state_dim=1, seed=0):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=rows)
+    y = rng.normal(size=rows) * 1e3
+    state = 300.0 + rng.random((rows, state_dim))
+    # values whose repr is easy to get wrong: signed zero, the smallest
+    # subnormal, and an exponent written with a sign
+    for col, k in ((u, 0), (y, rows // 2), (state[:, -1], rows - 1)):
+        col[k] = (-0.0, 5e-324, 1e22)[k % 3]
+    v, i = terminal_pair(kind, u, y)
+    return Trajectory(
+        dt=0.5, t=0.5 * np.arange(rows), u=u, y=y, v=v, i=i, state=state,
+        phi=np.cumsum(v), q=np.cumsum(i) * -1e-7,
+    )
+
+
+@pytest.mark.parametrize(
+    "rows", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 3 * CSV_CHUNK_ROWS + 7]
+)
+@pytest.mark.parametrize("kind", list(SignalKind))
+@pytest.mark.parametrize("state_dim", [1, 2])
+def test_trajectory_csv_matches_the_csv_module(rows, kind, state_dim, tmp_path):
+    traj = _trajectory(rows, kind, state_dim, seed=rows)
+    assert traj.v is (traj.y if kind is SignalKind.CURRENT else traj.u)
+    write_trajectory_csv(tmp_path / "fast.csv", traj)
+    _csv_oracle(tmp_path / "oracle.csv", traj)
+    written = (tmp_path / "fast.csv").read_bytes()
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+    assert written.count(b"\r\n") == rows + 1
+
+
+def test_trajectory_csv_writes_special_values(tmp_path):
+    write_trajectory_csv(tmp_path / "t.csv", _trajectory(3))
+    rows = [line.split(",") for line in (tmp_path / "t.csv").read_text().splitlines()]
+    assert rows[1][1] == "-0.0"  # u
+    assert rows[2][2] == "5e-324"  # y
+    assert rows[3][-1] == "1e+22"  # state0
