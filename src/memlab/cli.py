@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .analyze import (
@@ -35,40 +35,27 @@ from .integrate import SimulationError, simulate
 SCHEMA_VERSION = 1
 
 
-def _drive_dict(config: ExperimentConfig) -> dict:
+def _report_header(config: ExperimentConfig) -> dict:
+    """The fields a run report and a sweep report both open with."""
     wf = config.drive.waveform
-    out = {
+    drive = {
         "kind": config.drive.kind.value,
         "waveform": "sinusoid" if isinstance(wf, Sinusoid) else "square",
-        "amplitude": wf.amplitude,
-        "frequency": wf.frequency,
+        **asdict(wf),
     }
-    if isinstance(wf, Sinusoid):
-        out["phase"] = wf.phase
-    else:
-        out["duty"] = wf.duty
-    return out
-
-
-def _controls_dict(config: ExperimentConfig) -> dict:
-    c = config.controls
     return {
-        "dt": c.dt,
-        "transient_cycles": c.transient_cycles,
-        "record_cycles": c.record_cycles,
-        "event_tolerance": c.event_tolerance,
-        "steady_state_rel_tol": c.steady_state_rel_tol,
+        "schema_version": SCHEMA_VERSION,
+        "experiment": config.name,
+        "model": {"kind": config.model_kind, "params": dict(config.model_params)},
+        "drive": drive,
     }
 
 
 def build_report(config: ExperimentConfig, traj: Trajectory, wall_time_s: float) -> dict:
     """Assemble the run report for an already simulated trajectory."""
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": config.name,
-        "model": {"kind": config.model_kind, "params": dict(config.model_params)},
-        "drive": _drive_dict(config),
-        "controls": _controls_dict(config),
+        **_report_header(config),
+        "controls": asdict(config.controls),
         "dt_used": traj.dt,
         "steps_per_cycle": traj.steps_per_cycle,
         "wall_time_s": wall_time_s,
@@ -236,10 +223,7 @@ def _cmd_sweep(args) -> int:
 
     if config.json_path is not None:
         payload = {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": config.name,
-            "model": {"kind": config.model_kind, "params": dict(config.model_params)},
-            "drive": _drive_dict(config),
+            **_report_header(config),
             "frequencies": list(config.sweep_frequencies),
             "points": [
                 {

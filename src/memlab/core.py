@@ -2,7 +2,7 @@
 
 A memristive one-port produces y = g(x, u, t) * u, so the output is forced to
 zero whenever the input is zero. The capacitor-augmented circuit breaks that
-factorization and is represented by the generic OnePort instead.
+factorization and gives OnePort an output map of its own.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -133,32 +133,16 @@ ScalarFn = Callable[[tuple, float, float], float]
 
 
 @dataclass(frozen=True, eq=False)
-class MemristiveOnePort:
-    """State equation dx/dt = f(x, u, t) with resistive output y = g(x, u, t) * u.
-
-    threshold_component/thresholds and breakpoint_period/breakpoint_offsets are
-    event metadata for the integrator: crossings of a monitored state component
-    and periodic time discontinuities where step splitting is required.
-    """
-
-    input_kind: SignalKind
-    state_dim: int
-    f: StateFn
-    g: ScalarFn
-    initial_state: tuple[float, ...]
-    name: str = "one-port"
-    threshold_component: int | None = None
-    thresholds: tuple[float, ...] = ()
-    breakpoint_period: float | None = None
-    breakpoint_offsets: tuple[float, ...] = ()
-
-    def output(self, x, u: float, t: float) -> float:
-        return evaluate_output(self, x, u, t)
-
-
-@dataclass(frozen=True, eq=False)
 class OnePort:
-    """Generic driven one-port whose output map is not a resistive factor."""
+    """State equation dx/dt = f(x, u, t) with output y = output_fn(x, u, t).
+
+    memristive() builds the resistive output y = g(x, u, t) * u; a one-port
+    whose output does not factor that way (the capacitor chain) passes its own
+    output_fn. threshold_component/thresholds and
+    breakpoint_period/breakpoint_offsets are event metadata for the
+    integrator: crossings of a monitored state component and periodic time
+    discontinuities where step splitting is required.
+    """
 
     input_kind: SignalKind
     state_dim: int
@@ -175,23 +159,37 @@ class OnePort:
         return self.output_fn(x, u, t)
 
 
-def evaluate_output(model: MemristiveOnePort, x, u: float, t: float) -> float:
-    """Evaluate y = g(x, u, t) * u; exactly 0 whenever u = 0.
+def memristive(
+    input_kind: SignalKind,
+    state_dim: int,
+    f: StateFn,
+    g: ScalarFn,
+    initial_state: tuple[float, ...],
+    name: str = "one-port",
+    **events,
+) -> OnePort:
+    """A one-port with resistive output y = g(x, u, t) * u; exactly 0 whenever u = 0.
 
-    Raises ModelEvaluationError if the output factor is not finite at (x, u, t).
+    events are OnePort's event fields. The output raises ValueError on a state
+    of the wrong length or a non-finite input or time, and
+    ModelEvaluationError if the output factor is not finite at (x, u, t).
     """
-    if len(x) != model.state_dim:
-        raise ValueError(
-            f"state has {len(x)} components, model {model.name!r} expects {model.state_dim}"
-        )
-    if not (math.isfinite(u) and math.isfinite(t)):
-        raise ValueError("input and time must be finite")
-    g = model.g(x, u, t)
-    if not math.isfinite(g):
-        raise ModelEvaluationError(
-            f"model {model.name!r}: non-finite output factor at t={t!r}", x, u, t
-        )
-    return g * u
+
+    def output_fn(x, u: float, t: float) -> float:
+        if len(x) != state_dim:
+            raise ValueError(
+                f"state has {len(x)} components, model {name!r} expects {state_dim}"
+            )
+        if not (math.isfinite(u) and math.isfinite(t)):
+            raise ValueError("input and time must be finite")
+        factor = g(x, u, t)
+        if not math.isfinite(factor):
+            raise ModelEvaluationError(
+                f"model {name!r}: non-finite output factor at t={t!r}", x, u, t
+            )
+        return factor * u
+
+    return OnePort(input_kind, state_dim, f, output_fn, initial_state, name, **events)
 
 
 # ---------------------------------------------------------------------------

@@ -14,29 +14,28 @@ import pytest
 
 from memlab import (
     Drive,
-    PhiQKind,
     SignalKind,
     SimControls,
     Sinusoid,
     SquareWave,
-    SwitchedNetworkParams,
-    ThermistorParams,
     Trajectory,
-    accumulate_integrals,
     build_model,
     builtin_presets,
-    closed_switch_count,
     frequency_sweep,
     linearity_fit,
     loop_area,
     parse_experiment,
-    per_cycle_drifts,
     phi_q_classify,
-    phi_spread_at_equal_q,
     pinch_test,
     serialize_experiment,
     simulate,
-    sweep_monotonicity,
+)
+from memlab.analyze import PhiQKind, per_cycle_drifts, phi_spread_at_equal_q, sweep_monotonicity
+from memlab.core import accumulate_integrals
+from memlab.models import (
+    SwitchedNetworkParams,
+    ThermistorParams,
+    closed_switch_count,
     thermistor,
     thermistor_equilibrium_temperature,
     thermistor_resistance,

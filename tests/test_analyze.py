@@ -8,25 +8,28 @@ from hypothesis import strategies as st
 from memlab import (
     ConfigError,
     Drive,
-    PhiQKind,
     SignalKind,
     SimControls,
     Sinusoid,
-    SweepPoint,
-    SwitchedNetworkParams,
     Trajectory,
     frequency_sweep,
     linearity_fit,
     loop_area,
-    per_cycle_drifts,
     phi_q_classify,
-    phi_spread_at_equal_q,
     pinch_test,
-    sweep_monotonicity,
-    switched_network,
-    terminal_pair,
 )
-from memlab.analyze import LoopArea, _monotone_runs, _zero_crossings
+from memlab.analyze import (
+    LoopArea,
+    PhiQKind,
+    SweepPoint,
+    _monotone_runs,
+    _zero_crossings,
+    per_cycle_drifts,
+    phi_spread_at_equal_q,
+    sweep_monotonicity,
+)
+from memlab.core import terminal_pair
+from memlab.models import SwitchedNetworkParams, switched_network
 
 
 def _traj_from_vi(v, i, dt=1e-3, steps_per_cycle=None, phi=None, q=None):

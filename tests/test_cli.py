@@ -6,7 +6,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from memlab import SignalKind, Trajectory, preset_names, terminal_pair
+from memlab import SignalKind, Trajectory
+from memlab.core import terminal_pair
+from memlab.expdsl import preset_names
 from memlab.cli import CSV_CHUNK_ROWS, build_report, main, write_trajectory_csv
 
 FAST_DSL = """

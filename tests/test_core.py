@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,16 +7,15 @@ import pytest
 from memlab import (
     ConfigError,
     Drive,
-    MemristiveOnePort,
     ModelEvaluationError,
     OnePort,
     SignalKind,
     Sinusoid,
     SquareWave,
     Trajectory,
-    accumulate_integrals,
-    terminal_pair,
+    memristive,
 )
+from memlab.core import accumulate_integrals, terminal_pair
 
 
 def test_sinusoid_values():
@@ -87,7 +87,7 @@ def test_terminal_pair_orientation():
 
 
 def _resistor(r=2.0):
-    return MemristiveOnePort(
+    return memristive(
         input_kind=SignalKind.CURRENT,
         state_dim=1,
         f=lambda x, u, t: (0.0,),
@@ -109,7 +109,7 @@ def test_output_state_dim_checked():
 
 
 def test_output_rejects_nonfinite_g():
-    m = MemristiveOnePort(
+    m = memristive(
         input_kind=SignalKind.CURRENT,
         state_dim=1,
         f=lambda x, u, t: (0.0,),
@@ -121,6 +121,11 @@ def test_output_rejects_nonfinite_g():
         m.output((0.0,), 1.0, 2.5)
     assert exc.value.t == 2.5
     assert exc.value.u == 1.0
+
+
+def test_output_calls_a_replaced_output_fn():
+    m = dataclasses.replace(_resistor(r=7.0), output_fn=lambda x, u, t: 42.0)
+    assert m.output((0.0,), 3.0, 0.0) == 42.0
 
 
 def test_generic_one_port_output():

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from memlab import builtin_presets, preset_names
+from memlab import builtin_presets
+from memlab.expdsl import preset_names
 from memlab.cli import main
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
