@@ -155,6 +155,14 @@ class OnePort:
     breakpoint_period: float | None = None
     breakpoint_offsets: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        component = self.threshold_component
+        if component is not None and component not in range(self.state_dim):
+            raise ConfigError(
+                f"threshold_component {component!r} is not a state index "
+                f"of model {self.name!r} ({self.state_dim} components)"
+            )
+
     def output(self, x, u: float, t: float) -> float:
         return self.output_fn(x, u, t)
 

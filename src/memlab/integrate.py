@@ -9,6 +9,7 @@ untouched; all splitting is internal to a grid step.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,9 +190,14 @@ class _Engine:
         if drive_offsets:
             specs.append((drive.period, drive_offsets))
         self.specs = specs
-        # one state and nothing that can split a step: every grid interval is
-        # one plain RK4 step, run by a loop specialised for it
-        self.plain = model.state_dim == 1 and not model.thresholds and not specs
+        # which thresholds the monitored component lies between is the count
+        # of them at or below it; nothing compares below NaN, so a NaN
+        # threshold is never crossed
+        monitored = model.thresholds if model.threshold_component is not None else ()
+        self.sorted_thresholds = tuple(sorted(th for th in monitored if not math.isnan(th)))
+        # one state: a loop specialised for it steps every grid interval that
+        # has no event and hands the others to grid_step
+        self.plain = model.state_dim == 1
 
     def _hits_break(self, t: float) -> bool:
         for period, offsets in self.specs:
@@ -227,6 +233,21 @@ class _Engine:
             if tb - merged[-1] > 1e-12 * self.dt:
                 merged.append(tb)
         return tuple(merged)
+
+    def _clear_window(self, t: float) -> tuple[float, float]:
+        # (lo, hi) between the breaks on either side of t, less a margin that
+        # covers _hits_break's tolerance and the rounding of t - off and of the
+        # break times: a step inside it has no break at either end or within,
+        # so grid_step neither nudges nor splits it. When floor rounds m off by
+        # one the window misses t, which only sends the step to grid_step.
+        lo, hi = -math.inf, math.inf
+        for period, offsets in self.specs:
+            for off in offsets:
+                m = math.floor((t - off) / period)
+                margin = 4e-9 * period + 1e-14 * (abs(t) + abs(off) + period)
+                lo = max(lo, off + m * period + margin)
+                hi = min(hi, off + (m + 1) * period - margin)
+        return lo, hi
 
     def step(self, x: tuple, a: float, b: float) -> tuple:
         # One classical RK4 step over a smooth sub-interval. Stages that land
@@ -278,6 +299,7 @@ class _Engine:
         if self.plain:
             return self._march_plain(x, k0, k1, rec)
         dt = self.dt
+        value = self.drive.waveform.value
         for k in range(k0, k1):
             t1 = (k + 1) * dt
             try:
@@ -288,58 +310,77 @@ class _Engine:
                 if not math.isfinite(xi):
                     raise BlowUpError(f"state became non-finite at t = {t1}", t1)
             if rec is not None:
-                rec.put(k + 1 - k0, t1, x)
+                rec.put(k + 1 - k0, t1, x, value(t1))
         return x
 
     def _march_plain(self, x: tuple, k0: int, k1: int, rec: _Record | None) -> tuple:
-        # grid_step for a one-state model with no events, inlined: locate_events
-        # makes one step over [t0, t0 + (t1 - t0)] and step evaluates its
-        # stages at the interval ends without a nudge. The same operations run
-        # in the same order, so the samples are bit-identical to grid_step's.
+        # grid_step for a one-state model, inlined where the interval provably
+        # has no event: inside the window (lo, hi) step takes its stages at the
+        # interval ends without a nudge and locate_events makes one step over
+        # [t0, t0 + (t1 - t0)], and a trial between the same two thresholds as
+        # x crosses none of them. The same operations run in the same order, so
+        # the samples are bit-identical to grid_step's. Every other interval,
+        # the first one included, goes to grid_step, which also recomputes the
+        # trial of a crossing step. b = a + (t1 - a) is t1 exactly (Sterbenz),
+        # so the last stage's input is the input at t1: it is recorded and
+        # reused as the next step's first.
         dt = self.dt
-        value = self.drive.value
+        value = self.drive.waveform.value
         f = self.model.f
+        grid_step = self.grid_step
+        thresholds = self.sorted_thresholds
         isfinite = math.isfinite
+        lo, hi = math.inf, -math.inf
+        side = bisect_right(thresholds, x[0])
         for k in range(k0, k1):
             a = k * dt
             t1 = (k + 1) * dt
             b = a + (t1 - a)
-            h = b - a
-            tm = a + 0.5 * h
             try:
-                u1 = value(a)
-                um = value(tm)
-                u4 = value(b)
-                x0 = x[0]
-                c1 = f(x, u1, a)[0]
-                h2 = 0.5 * h
-                c2 = f((x0 + h2 * c1,), um, tm)[0]
-                c3 = f((x0 + h2 * c2,), um, tm)[0]
-                c4 = f((x0 + h * c3,), u4, b)[0]
-                h6 = h / 6.0
-                x = (x0 + h6 * (c1 + 2.0 * (c2 + c3) + c4),)
+                if lo <= a and b <= hi:
+                    h = b - a
+                    tm = a + 0.5 * h
+                    um = value(tm)
+                    u4 = value(b)
+                    x0 = x[0]
+                    c1 = f(x, u1, a)[0]
+                    h2 = 0.5 * h
+                    c2 = f((x0 + h2 * c1,), um, tm)[0]
+                    c3 = f((x0 + h2 * c2,), um, tm)[0]
+                    c4 = f((x0 + h * c3,), u4, b)[0]
+                    h6 = h / 6.0
+                    x1 = x0 + h6 * (c1 + 2.0 * (c2 + c3) + c4)
+                    if thresholds and bisect_right(thresholds, x1) != side:
+                        x = grid_step(x, a, t1)
+                        side = bisect_right(thresholds, x[0])
+                    else:
+                        x = (x1,)
+                else:
+                    x = grid_step(x, a, t1)
+                    u4 = value(t1)
+                    lo, hi = self._clear_window(t1)
+                    side = bisect_right(thresholds, x[0])
             except OverflowError:
                 raise BlowUpError(f"state overflow at t = {t1}", t1) from None
             if not isfinite(x[0]):
                 raise BlowUpError(f"state became non-finite at t = {t1}", t1)
             if rec is not None:
-                rec.put(k + 1 - k0, t1, x)
+                rec.put(k + 1 - k0, t1, x, u4)
+            u1 = u4
         return x
 
 
 class _Record:
     """Sample columns of one recorded stretch, filled row by row."""
 
-    def __init__(self, model, drive: Drive, rows: int):
+    def __init__(self, model, rows: int):
         self.model = model
-        self.drive = drive
         self.t = np.empty(rows)
         self.u = np.empty(rows)
         self.y = np.empty(rows)
         self.state = np.empty((rows, model.state_dim))
 
-    def put(self, row: int, t: float, x: tuple) -> None:
-        u = self.drive.value(t)
+    def put(self, row: int, t: float, x: tuple, u: float) -> None:
         try:
             y = self.model.output(x, u, t)
         except (OverflowError, ModelEvaluationError) as exc:
@@ -384,8 +425,9 @@ def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
     first_kept = n * controls.transient_cycles
     total_steps = first_kept + n * controls.record_cycles
     x = engine.march(x, 0, first_kept)
-    rec = _Record(model, drive, total_steps - first_kept + 1)
-    rec.put(0, first_kept * dt, x)
+    rec = _Record(model, total_steps - first_kept + 1)
+    t0 = first_kept * dt
+    rec.put(0, t0, x, drive.value(t0))
     engine.march(x, first_kept, total_steps, rec)
     return rec.trajectory(dt, n)
 
@@ -421,8 +463,9 @@ def detect_steady_state(model, drive: Drive, controls: SimControls, x0=None) -> 
     last_residual = math.inf
     for c in range(budget):
         base = c * n
-        rec = _Record(model, drive, n + 1)
-        rec.put(0, base * dt, x)
+        rec = _Record(model, n + 1)
+        t0 = base * dt
+        rec.put(0, t0, x, drive.value(t0))
         x = engine.march(x, base, base + n, rec)
         if prev is not None:
             last_residual = _cycle_residual(prev.state, rec.state)
