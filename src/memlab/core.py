@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -40,6 +40,14 @@ class SignalKind(enum.Enum):
     VOLTAGE = "voltage"
 
 
+def check_finite(obj) -> None:
+    """Raise ConfigError if a float field of the dataclass obj is NaN or infinite."""
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{type(obj).__name__}.{field.name} must be finite, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # drives
 
@@ -51,13 +59,25 @@ class Sinusoid:
     phase: float = 0.0
 
     def __post_init__(self):
+        check_finite(self)
         if self.amplitude < 0.0:
             raise ConfigError("sinusoid amplitude must be >= 0")
         if self.frequency <= 0.0:
             raise ConfigError("sinusoid frequency must be > 0")
 
+    def sampler(self) -> Callable[[float], float]:
+        """value as a closure; 2*pi*frequency*t evaluates left to right, so
+        binding omega = 2*pi*frequency once leaves every sample unchanged."""
+        amplitude, phase, sin = self.amplitude, self.phase, math.sin
+        omega = 2.0 * math.pi * self.frequency
+
+        def value(t: float) -> float:
+            return amplitude * sin(omega * t + phase)
+
+        return value
+
     def value(self, t: float) -> float:
-        return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t + self.phase)
+        return self.sampler()(t)
 
     def breakpoint_offsets(self) -> tuple[float, ...]:
         return ()
@@ -72,6 +92,7 @@ class SquareWave:
     duty: float = 0.5
 
     def __post_init__(self):
+        check_finite(self)
         if self.amplitude < 0.0:
             raise ConfigError("square wave amplitude must be >= 0")
         if self.frequency <= 0.0:
@@ -85,6 +106,9 @@ class SquareWave:
         if s < 0.0:
             s += period
         return self.amplitude if s < self.duty * period else -self.amplitude
+
+    def sampler(self) -> Callable[[float], float]:
+        return self.value
 
     def breakpoint_offsets(self) -> tuple[float, ...]:
         # level switches at k*T and (k+duty)*T; duty=1 has only period boundaries
@@ -130,6 +154,22 @@ class Drive:
 
 StateFn = Callable[[tuple, float, float], tuple]
 ScalarFn = Callable[[tuple, float, float], float]
+RateFn = Callable[[float, float, float], float]
+
+
+def scalar_rate(rate: RateFn) -> StateFn:
+    """A one-state model's f from its derivative rate(x0, u, t) -> float.
+
+    f takes and returns a 1-tuple like any StateFn and carries rate as
+    f.scalar, which the one-state stepping loop calls with a float state. A
+    function that replaces f has no f.scalar, so the loop calls it instead.
+    """
+
+    def f(x, u, t):
+        return (rate(x[0], u, t),)
+
+    f.scalar = rate
+    return f
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,7 @@ from .core import (
     SignalKind,
     Trajectory,
     accumulate_integrals,
+    check_finite,
     terminal_pair,
 )
 
@@ -63,6 +64,7 @@ class SimControls:
     steady_state_rel_tol: float = 1e-6
 
     def __post_init__(self):
+        check_finite(self)
         if self.dt is not None and self.dt <= 0.0:
             raise ConfigError("dt must be > 0")
         if self.transient_cycles < 0:
@@ -180,9 +182,9 @@ class _Engine:
 
     def __init__(self, model, drive: Drive, dt: float, event_tol: float):
         self.model = model
-        self.drive = drive
         self.dt = dt
         self.event_tol = event_tol
+        self.value = drive.waveform.sampler()
         specs = []
         if model.breakpoint_period is not None:
             specs.append((model.breakpoint_period, tuple(model.breakpoint_offsets)))
@@ -258,7 +260,7 @@ class _Engine:
         ta = a + nudge if self._hits_break(a) else a
         tb = b - nudge if self._hits_break(b) else b
         tm = a + 0.5 * h
-        value = self.drive.value
+        value = self.value
         f = self.model.f
         u1 = value(ta)
         um = value(tm)
@@ -299,7 +301,7 @@ class _Engine:
         if self.plain:
             return self._march_plain(x, k0, k1, rec)
         dt = self.dt
-        value = self.drive.waveform.value
+        value = self.value
         for k in range(k0, k1):
             t1 = (k + 1) * dt
             try:
@@ -318,20 +320,30 @@ class _Engine:
         # has no event: inside the window (lo, hi) step takes its stages at the
         # interval ends without a nudge and locate_events makes one step over
         # [t0, t0 + (t1 - t0)], and a trial between the same two thresholds as
-        # x crosses none of them. The same operations run in the same order, so
-        # the samples are bit-identical to grid_step's. Every other interval,
-        # the first one included, goes to grid_step, which also recomputes the
-        # trial of a crossing step. b = a + (t1 - a) is t1 exactly (Sterbenz),
-        # so the last stage's input is the input at t1: it is recorded and
-        # reused as the next step's first.
+        # x crosses none of them. The same operations run in the same order on
+        # the state as a float, so the samples are bit-identical to
+        # grid_step's. Every other interval, the first one included, goes to
+        # grid_step, which also recomputes the trial of a crossing step.
+        # b = a + (t1 - a) is t1 exactly (Sterbenz), so the last stage's input
+        # is the input at t1: it is recorded and reused as the next step's
+        # first.
         dt = self.dt
-        value = self.drive.waveform.value
+        value = self.value
         f = self.model.f
+        rate = getattr(f, "scalar", None)
+        if rate is None:  # a tuple-only f, or one that replaced a model's f
+
+            def rate(x0, u, t):
+                return f((x0,), u, t)[0]
+
+        if rec is not None:
+            t_col, u_col, y_col, x_col, output = rec.t, rec.u, rec.y, rec.state[:, 0], rec.output
         grid_step = self.grid_step
         thresholds = self.sorted_thresholds
         isfinite = math.isfinite
         lo, hi = math.inf, -math.inf
-        side = bisect_right(thresholds, x[0])
+        x0 = x[0]
+        side = bisect_right(thresholds, x0)
         for k in range(k0, k1):
             a = k * dt
             t1 = (k + 1) * dt
@@ -342,32 +354,35 @@ class _Engine:
                     tm = a + 0.5 * h
                     um = value(tm)
                     u4 = value(b)
-                    x0 = x[0]
-                    c1 = f(x, u1, a)[0]
+                    c1 = rate(x0, u1, a)
                     h2 = 0.5 * h
-                    c2 = f((x0 + h2 * c1,), um, tm)[0]
-                    c3 = f((x0 + h2 * c2,), um, tm)[0]
-                    c4 = f((x0 + h * c3,), u4, b)[0]
+                    c2 = rate(x0 + h2 * c1, um, tm)
+                    c3 = rate(x0 + h2 * c2, um, tm)
+                    c4 = rate(x0 + h * c3, u4, b)
                     h6 = h / 6.0
                     x1 = x0 + h6 * (c1 + 2.0 * (c2 + c3) + c4)
                     if thresholds and bisect_right(thresholds, x1) != side:
-                        x = grid_step(x, a, t1)
-                        side = bisect_right(thresholds, x[0])
+                        x0 = grid_step((x0,), a, t1)[0]
+                        side = bisect_right(thresholds, x0)
                     else:
-                        x = (x1,)
+                        x0 = x1
                 else:
-                    x = grid_step(x, a, t1)
+                    x0 = grid_step((x0,), a, t1)[0]
                     u4 = value(t1)
                     lo, hi = self._clear_window(t1)
-                    side = bisect_right(thresholds, x[0])
+                    side = bisect_right(thresholds, x0)
             except OverflowError:
                 raise BlowUpError(f"state overflow at t = {t1}", t1) from None
-            if not isfinite(x[0]):
+            if not isfinite(x0):
                 raise BlowUpError(f"state became non-finite at t = {t1}", t1)
             if rec is not None:
-                rec.put(k + 1 - k0, t1, x, u4)
+                row = k + 1 - k0
+                y_col[row] = output((x0,), u4, t1)
+                t_col[row] = t1
+                u_col[row] = u4
+                x_col[row] = x0
             u1 = u4
-        return x
+        return (x0,)
 
 
 class _Record:
@@ -375,19 +390,23 @@ class _Record:
 
     def __init__(self, model, rows: int):
         self.model = model
+        self.output_fn = model.output_fn
         self.t = np.empty(rows)
         self.u = np.empty(rows)
         self.y = np.empty(rows)
         self.state = np.empty((rows, model.state_dim))
 
-    def put(self, row: int, t: float, x: tuple, u: float) -> None:
+    def output(self, x: tuple, u: float, t: float) -> float:
+        """The model's output at (x, u, t); a failure there is a blow-up."""
         try:
-            y = self.model.output(x, u, t)
+            return self.output_fn(x, u, t)
         except (OverflowError, ModelEvaluationError) as exc:
             raise BlowUpError(f"output not finite at t = {t}: {exc}", t) from None
+
+    def put(self, row: int, t: float, x: tuple, u: float) -> None:
+        self.y[row] = self.output(x, u, t)
         self.t[row] = t
         self.u[row] = u
-        self.y[row] = y
         self.state[row] = x
 
     def trajectory(self, dt: float, n: int) -> Trajectory:
@@ -427,7 +446,7 @@ def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
     x = engine.march(x, 0, first_kept)
     rec = _Record(model, total_steps - first_kept + 1)
     t0 = first_kept * dt
-    rec.put(0, t0, x, drive.value(t0))
+    rec.put(0, t0, x, engine.value(t0))
     engine.march(x, first_kept, total_steps, rec)
     return rec.trajectory(dt, n)
 
@@ -465,7 +484,7 @@ def detect_steady_state(model, drive: Drive, controls: SimControls, x0=None) -> 
         base = c * n
         rec = _Record(model, n + 1)
         t0 = base * dt
-        rec.put(0, t0, x, drive.value(t0))
+        rec.put(0, t0, x, engine.value(t0))
         x = engine.march(x, base, base + n, rec)
         if prev is not None:
             last_residual = _cycle_residual(prev.state, rec.state)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from memlab import (
     ConfigError,
@@ -41,6 +43,20 @@ def test_waveform_validation():
         SquareWave(amplitude=1.0, frequency=1.0, duty=1.5)
     # zero amplitude is a legal null drive (free relaxation runs)
     Sinusoid(amplitude=0.0, frequency=1.0)
+
+
+@given(
+    amplitude=st.floats(0.0, 1e6),
+    frequency=st.floats(1e-9, 1e6),
+    phase=st.floats(-10.0, 10.0),
+    t=st.floats(0.0, 1e9),
+)
+def test_a_sampler_gives_the_waveform_values_bit_for_bit(amplitude, frequency, phase, t):
+    sine = Sinusoid(amplitude, frequency, phase).sampler()
+    want = amplitude * math.sin(2.0 * math.pi * frequency * t + phase)
+    assert repr(sine(t)) == repr(want)
+    square = SquareWave(amplitude, frequency, duty=0.3)
+    assert repr(square.sampler()(t)) == repr(square.value(t))
 
 
 def test_square_wave_is_right_continuous():

@@ -49,6 +49,16 @@ def test_controls_validation():
         SimControls(steady_state_rel_tol=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["dt", "event_tolerance", "steady_state_rel_tol"])
+def test_controls_reject_non_finite_values(name, bad):
+    # NaN passes every ordered comparison check; left in, dt = NaN escaped as
+    # a bare ValueError, event_tolerance = NaN turned bisection off and
+    # steady_state_rel_tol = NaN never converged
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        SimControls(**{name: bad})
+
+
 def test_resolve_step_default():
     dt, n = resolve_step(SimControls(), 10.0)
     assert n == 2000
@@ -321,6 +331,18 @@ _ORACLE_CASES = {
         thermistor(),
         Drive(SignalKind.CURRENT, SquareWave(amplitude=5e-4, frequency=0.01, duty=0.3337)),
     ),
+    # f written as a bare tuple function, without a float form
+    "tuple-f": (
+        memristive(
+            SignalKind.CURRENT,
+            1,
+            lambda x, u, t: (2.0 * (u * u - x[0]),),
+            g=lambda x, u, t: 1.0 + x[0] * x[0],
+            initial_state=(0.5,),
+            name="tuple f",
+        ),
+        _SINE_I,
+    ),
 }
 
 
@@ -334,6 +356,26 @@ def test_plain_stepping_matches_the_general_path(model, drive, run):
     k_first = round(got.t[0] / dt)
     want = _grid_step_samples(model, drive, controls, k_first, k_first + len(got) - 1)
     for column in ("t", "u", "y", "v", "i", "phi", "q", "state"):
+        assert np.array_equal(getattr(got, column), getattr(want, column)), column
+
+
+def test_a_replaced_f_is_called_at_every_stage():
+    # a function put in place of a model's f (as a tracer does) has no float
+    # form; the one-state loop must still call it, four times per grid step
+    model = thermistor()
+    drive = Drive(SignalKind.CURRENT, Sinusoid(amplitude=5e-4, frequency=0.01))
+    controls = SimControls(transient_cycles=1, record_cycles=1)
+    calls = []
+
+    def counted(x, u, t):
+        calls.append(t)
+        return model.f(x, u, t)
+
+    got = simulate(dataclasses.replace(model, f=counted), drive, controls)
+    want = simulate(model, drive, controls)
+    _, n = resolve_step(controls, drive.period)
+    assert len(calls) == 4 * 2 * n
+    for column in ("t", "u", "y", "phi", "q", "state"):
         assert np.array_equal(getattr(got, column), getattr(want, column)), column
 
 
