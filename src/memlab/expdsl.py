@@ -254,7 +254,7 @@ class _Parser:
         model_raw: dict = {}
         drive_spec = None
         sim_raw: dict = {}
-        analyses: list[str] = []
+        analyses: dict[str, Token] = {}
         sweep: tuple[float, ...] = ()
         csv_path = None
         json_path = None
@@ -306,6 +306,7 @@ class _Parser:
         drive = self._build_drive(model_kind, *drive_spec)
         params = self._normalize_model(model_kind, model_raw, drive)
         controls = self._build_controls(sim_raw, seen.get("sim"))
+        self._check_analyses(analyses, drive, controls)
         if not has_output:
             csv_path = f"{name}.csv"
             json_path = f"{name}.json"
@@ -316,16 +317,18 @@ class _Parser:
             model_params=params,
             drive=drive,
             controls=controls,
-            analyses=tuple(analyses),
+            analyses=tuple(name for name in analyses if name != "sweep"),
             sweep_frequencies=sweep,
             csv_path=csv_path,
             json_path=json_path,
             warnings=tuple(self.warnings),
         )
 
-    def _analyze_block(self) -> tuple[list[str], tuple[float, ...]]:
+    def _analyze_block(self) -> tuple[dict[str, Token], tuple[float, ...]]:
+        """The analyses named (each with its token, a sweep's under 'sweep')
+        and the sweep frequencies."""
         self._expect_punct("{")
-        analyses: list[str] = []
+        analyses: dict[str, Token] = {}
         sweep: tuple[float, ...] = ()
         while True:
             tok = self._next()
@@ -354,7 +357,18 @@ class _Parser:
                     self._fail(f"unknown analysis {tok.text!r}", tok)
                 if tok.text in analyses:
                     self._fail(f"duplicate analysis {tok.text!r}", tok)
-                analyses.append(tok.text)
+            analyses[tok.text] = tok
+
+    def _check_analyses(self, analyses: dict[str, Token], drive: Drive, controls) -> None:
+        """Reject analyses the run could not feed: phi_q and a sweep compare
+        consecutive recorded cycles, and linearity fits a slope to a current
+        that a zero-amplitude drive holds at zero."""
+        for name, tok in analyses.items():
+            if name in ("phi_q", "sweep") and controls.record_cycles < 2:
+                self._fail(
+                    f"{name} needs record_cycles >= 2, got {controls.record_cycles}", tok)
+            if name == "linearity" and drive.amplitude == 0.0:
+                self._fail(f"{name} needs a drive amplitude > 0", tok)
 
     def _build_drive(self, model_kind, kind_tok, wave_tok, raw) -> Drive:
         expected = models.MODELS[model_kind].input_kind

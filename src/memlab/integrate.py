@@ -27,6 +27,15 @@ from .core import (
 )
 
 
+# the most grid steps one run may take: about 30 s of stepping at 1.5 us a
+# step, and a record of at most 1 GB
+MAX_GRID_STEPS = 20_000_000
+
+# grid intervals per recorded chunk: march gathers a chunk's samples in lists
+# and stores each column of it with one slice assignment
+CHUNK = 1024
+
+
 class SimulationError(MemlabError):
     """Runtime failure while integrating (as opposed to a bad configuration)."""
 
@@ -89,10 +98,23 @@ def resolve_step(controls: SimControls, period: float) -> tuple[float, int]:
             raise ConfigError(
                 f"dt = {controls.dt} violates dt <= period/200 = {limit} for this drive"
             )
+        if period / controls.dt > MAX_GRID_STEPS:
+            raise ConfigError(
+                f"dt = {controls.dt} takes {period / controls.dt:.3g} grid steps per "
+                f"cycle, over the budget of {MAX_GRID_STEPS}"
+            )
         n = math.ceil(period / controls.dt - 1e-9)
         if n % 2:
             n += 1
     return period / n, n
+
+
+def _check_budget(steps: int) -> None:
+    if steps > MAX_GRID_STEPS:
+        raise ConfigError(
+            f"the run takes {steps} grid steps, over the budget of {MAX_GRID_STEPS}; "
+            "raise dt or run fewer cycles"
+        )
 
 
 def _resolve_event_tol(controls: SimControls, dt: float) -> float:
@@ -177,6 +199,45 @@ def locate_events(
     return out
 
 
+def _scalar_rk4(rate):
+    """One classical RK4 step of a one-state model on its float derivative
+    rate(x0, u, t), taking and returning a 1-tuple; the stages and inputs
+    are given, so the caller decides where they sit."""
+
+    def rk4(x, u1, um, u4, ta, tm, tb, h):
+        x0 = x[0]
+        c1 = rate(x0, u1, ta)
+        h2 = 0.5 * h
+        c2 = rate(x0 + h2 * c1, um, tm)
+        c3 = rate(x0 + h2 * c2, um, tm)
+        c4 = rate(x0 + h * c3, u4, tb)
+        h6 = h / 6.0
+        return (x0 + h6 * (c1 + 2.0 * (c2 + c3) + c4),)
+
+    return rk4
+
+
+def _tuple_rk4(f):
+    """The same step on a state tuple and f(x, u, t) -> tuple; each component
+    takes the same operations in the same order as the float step."""
+
+    def rk4(x, u1, um, u4, ta, tm, tb, h):
+        k1 = f(x, u1, ta)
+        h2 = 0.5 * h
+        k2 = f(tuple([xi + h2 * ki for xi, ki in zip(x, k1)]), um, tm)
+        k3 = f(tuple([xi + h2 * ki for xi, ki in zip(x, k2)]), um, tm)
+        k4 = f(tuple([xi + h * ki for xi, ki in zip(x, k3)]), u4, tb)
+        h6 = h / 6.0
+        return tuple(
+            [
+                xi + h6 * (c1 + 2.0 * (c2 + c3) + c4)
+                for xi, c1, c2, c3, c4 in zip(x, k1, k2, k3, k4)
+            ]
+        )
+
+    return rk4
+
+
 class _Engine:
     """Shared stepping machinery for simulate and detect_steady_state."""
 
@@ -197,9 +258,19 @@ class _Engine:
         # threshold is never crossed
         monitored = model.thresholds if model.threshold_component is not None else ()
         self.sorted_thresholds = tuple(sorted(th for th in monitored if not math.isnan(th)))
-        # one state: a loop specialised for it steps every grid interval that
-        # has no event and hands the others to grid_step
-        self.plain = model.state_dim == 1
+        # one RK4 kernel per state kind: a one-state model steps a float on its
+        # float derivative, a larger state steps a tuple on f
+        self.rate = None
+        if model.state_dim == 1:
+            f = model.f
+            self.rate = getattr(f, "scalar", None)
+            if self.rate is None:  # a tuple-only f, or one that replaced a model's f
+
+                def rate(x0, u, t):
+                    return f((x0,), u, t)[0]
+
+                self.rate = rate
+        self.rk4 = _tuple_rk4(model.f) if self.rate is None else _scalar_rk4(self.rate)
 
     def _hits_break(self, t: float) -> bool:
         for period, offsets in self.specs:
@@ -261,23 +332,7 @@ class _Engine:
         tb = b - nudge if self._hits_break(b) else b
         tm = a + 0.5 * h
         value = self.value
-        f = self.model.f
-        u1 = value(ta)
-        um = value(tm)
-        u4 = value(tb)
-        k1 = f(x, u1, ta)
-        h2 = 0.5 * h
-        x2 = tuple(xi + h2 * ki for xi, ki in zip(x, k1))
-        k2 = f(x2, um, tm)
-        x3 = tuple(xi + h2 * ki for xi, ki in zip(x, k2))
-        k3 = f(x3, um, tm)
-        x4 = tuple(xi + h * ki for xi, ki in zip(x, k3))
-        k4 = f(x4, u4, tb)
-        h6 = h / 6.0
-        return tuple(
-            xi + h6 * (c1 + 2.0 * (c2 + c3) + c4)
-            for xi, c1, c2, c3, c4 in zip(x, k1, k2, k3, k4)
-        )
+        return self.rk4(x, value(ta), value(tm), value(tb), ta, tm, tb, h)
 
     def grid_step(self, x: tuple, t0: float, t1: float) -> tuple:
         subs = locate_events(
@@ -298,95 +353,102 @@ class _Engine:
         With rec, the state after interval k is recorded in row k + 1 - k0.
         Raises BlowUpError when the state overflows or stops being finite.
         """
-        if self.plain:
-            return self._march_plain(x, k0, k1, rec)
+        # grid_step, inlined where the interval provably has no event: inside
+        # the window (lo, hi) step takes its stages at the interval ends
+        # without a nudge and locate_events makes one step over
+        # [a, a + (t1 - a)], and a trial between the same two thresholds as x
+        # crosses none of them. a + (t1 - a) is t1 exactly (Sterbenz), so the
+        # same operations run in the same order on the state and the samples
+        # are bit-identical to grid_step's; the last stage's input is the
+        # input at t1, recorded and reused as the next step's first. Every
+        # other interval, the first one included, goes to grid_step, which
+        # also recomputes the trial of a crossing step. A one-state model
+        # carries its state as a float and steps it inline on its float
+        # derivative; a larger state goes through the tuple kernel.
         dt = self.dt
         value = self.value
-        for k in range(k0, k1):
-            t1 = (k + 1) * dt
-            try:
-                x = self.grid_step(x, k * dt, t1)
-            except OverflowError:
-                raise BlowUpError(f"state overflow at t = {t1}", t1) from None
-            for xi in x:
-                if not math.isfinite(xi):
-                    raise BlowUpError(f"state became non-finite at t = {t1}", t1)
-            if rec is not None:
-                rec.put(k + 1 - k0, t1, x, value(t1))
-        return x
-
-    def _march_plain(self, x: tuple, k0: int, k1: int, rec: _Record | None) -> tuple:
-        # grid_step for a one-state model, inlined where the interval provably
-        # has no event: inside the window (lo, hi) step takes its stages at the
-        # interval ends without a nudge and locate_events makes one step over
-        # [t0, t0 + (t1 - t0)], and a trial between the same two thresholds as
-        # x crosses none of them. The same operations run in the same order on
-        # the state as a float, so the samples are bit-identical to
-        # grid_step's. Every other interval, the first one included, goes to
-        # grid_step, which also recomputes the trial of a crossing step.
-        # b = a + (t1 - a) is t1 exactly (Sterbenz), so the last stage's input
-        # is the input at t1: it is recorded and reused as the next step's
-        # first.
-        dt = self.dt
-        value = self.value
-        f = self.model.f
-        rate = getattr(f, "scalar", None)
-        if rate is None:  # a tuple-only f, or one that replaced a model's f
-
-            def rate(x0, u, t):
-                return f((x0,), u, t)[0]
-
-        if rec is not None:
-            t_col, u_col, y_col, x_col, output = rec.t, rec.u, rec.y, rec.state[:, 0], rec.output
         grid_step = self.grid_step
         thresholds = self.sorted_thresholds
+        monitor = self.model.threshold_component or 0
         isfinite = math.isfinite
+        rate = self.rate
+        scalar = rate is not None
+        if scalar:
+            finite = isfinite
+            x = x[0]
+        else:
+            rk4 = self.rk4
+
+            def finite(x):
+                return all(map(isfinite, x))
+
+        if rec is not None:
+            output = rec.output
+            states = rec.state[:, 0] if scalar else rec.state
+            ys: list = []
+            us: list = []
+            xs: list = []
         lo, hi = math.inf, -math.inf
-        x0 = x[0]
-        side = bisect_right(thresholds, x0)
-        for k in range(k0, k1):
-            a = k * dt
-            t1 = (k + 1) * dt
-            b = a + (t1 - a)
-            try:
-                if lo <= a and b <= hi:
-                    h = b - a
-                    tm = a + 0.5 * h
-                    um = value(tm)
-                    u4 = value(b)
-                    c1 = rate(x0, u1, a)
-                    h2 = 0.5 * h
-                    c2 = rate(x0 + h2 * c1, um, tm)
-                    c3 = rate(x0 + h2 * c2, um, tm)
-                    c4 = rate(x0 + h * c3, u4, b)
-                    h6 = h / 6.0
-                    x1 = x0 + h6 * (c1 + 2.0 * (c2 + c3) + c4)
-                    if thresholds and bisect_right(thresholds, x1) != side:
-                        x0 = grid_step((x0,), a, t1)[0]
-                        side = bisect_right(thresholds, x0)
+        side = bisect_right(thresholds, x if scalar else x[monitor])
+        for c0 in range(k0, k1, CHUNK):
+            ce = min(c0 + CHUNK, k1)
+            for k in range(c0, ce):
+                a = k * dt
+                t1 = (k + 1) * dt
+                try:
+                    if lo <= a and t1 <= hi:
+                        h = t1 - a
+                        tm = a + 0.5 * h
+                        um = value(tm)
+                        u4 = value(t1)
+                        if not scalar:
+                            x1 = rk4(x, u1, um, u4, a, tm, t1, h)
+                        else:  # the float kernel, inline
+                            c1 = rate(x, u1, a)
+                            h2 = 0.5 * h
+                            c2 = rate(x + h2 * c1, um, tm)
+                            c3 = rate(x + h2 * c2, um, tm)
+                            c4 = rate(x + h * c3, u4, t1)
+                            h6 = h / 6.0
+                            x1 = x + h6 * (c1 + 2.0 * (c2 + c3) + c4)
+                        if thresholds and bisect_right(
+                            thresholds, x1 if scalar else x1[monitor]
+                        ) != side:
+                            x = grid_step((x,), a, t1)[0] if scalar else grid_step(x, a, t1)
+                            side = bisect_right(thresholds, x if scalar else x[monitor])
+                        else:
+                            x = x1
                     else:
-                        x0 = x1
-                else:
-                    x0 = grid_step((x0,), a, t1)[0]
-                    u4 = value(t1)
-                    lo, hi = self._clear_window(t1)
-                    side = bisect_right(thresholds, x0)
-            except OverflowError:
-                raise BlowUpError(f"state overflow at t = {t1}", t1) from None
-            if not isfinite(x0):
-                raise BlowUpError(f"state became non-finite at t = {t1}", t1)
+                        x = grid_step((x,), a, t1)[0] if scalar else grid_step(x, a, t1)
+                        u4 = value(t1)
+                        lo, hi = self._clear_window(t1)
+                        side = bisect_right(thresholds, x if scalar else x[monitor])
+                except OverflowError:
+                    raise BlowUpError(f"state overflow at t = {t1}", t1) from None
+                if not finite(x):
+                    raise BlowUpError(f"state became non-finite at t = {t1}", t1)
+                if rec is not None:
+                    ys.append(output((x,) if scalar else x, u4, t1))
+                    us.append(u4)
+                    xs.append(x)
+                u1 = u4
             if rec is not None:
-                row = k + 1 - k0
-                y_col[row] = output((x0,), u4, t1)
-                t_col[row] = t1
-                u_col[row] = u4
-                x_col[row] = x0
-            u1 = u4
-        return (x0,)
+                # (k + 1) * dt for each k of the chunk: k + 1 < 2**53 is an
+                # exact float, so the product rounds as the loop's t1 does
+                rows = slice(c0 + 1 - k0, ce + 1 - k0)
+                rec.t[rows] = np.arange(c0 + 1, ce + 1, dtype=float) * dt
+                rec.u[rows] = us
+                rec.y[rows] = ys
+                states[rows] = xs
+                us.clear()
+                ys.clear()
+                xs.clear()
+        return (x,) if scalar else x
 
 
 class _Record:
-    """Sample columns of one recorded stretch, filled row by row."""
+    """Sample columns of one recorded stretch: row 0 by put, the rest by
+    march, one chunk at a time."""
 
     def __init__(self, model, rows: int):
         self.model = model
@@ -443,6 +505,7 @@ def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
     x = _initial_state(model, x0)
     first_kept = n * controls.transient_cycles
     total_steps = first_kept + n * controls.record_cycles
+    _check_budget(total_steps)
     x = engine.march(x, 0, first_kept)
     rec = _Record(model, total_steps - first_kept + 1)
     t0 = first_kept * dt
@@ -476,6 +539,7 @@ def detect_steady_state(model, drive: Drive, controls: SimControls, x0=None) -> 
     event_tol = _resolve_event_tol(controls, dt)
     engine = _Engine(model, drive, dt, event_tol)
     budget = max(2, 10 * controls.transient_cycles)
+    _check_budget(budget * n)
 
     x = _initial_state(model, x0)
     prev: _Record | None = None

@@ -232,30 +232,67 @@ class SwitchedNetworkParams:
             raise ConfigError("n_switches must be >= 1")
 
 
+def _r1_fn(params: SwitchedNetworkParams) -> Callable[[float], float]:
+    """r1(t) as a closure over the constant or the PiecewiseR1's levels."""
+    r1 = params.r1
+    if not isinstance(r1, PiecewiseR1):
+
+        def constant(t: float) -> float:
+            return r1
+
+        return constant
+    high, low, period, half = r1.high, r1.low, r1.period, 0.5 * r1.period
+    fmod = math.fmod
+
+    def piecewise(t: float) -> float:
+        s = fmod(t, period)
+        if s < 0.0:
+            s += period
+        return high if s <= half else low
+
+    return piecewise
+
+
+def _closed_fn(params: SwitchedNetworkParams) -> Callable[[float], int]:
+    """The closed switch count clamp(floor(q/q0), 0, n) as a closure of q."""
+    q0, n = params.q0, params.n_switches
+    floor = math.floor
+
+    def closed(q: float) -> int:
+        k = floor(q / q0)
+        if k < 0:
+            return 0
+        if k > n:
+            return n
+        return k
+
+    return closed
+
+
+def _resistance_fn(params: SwitchedNetworkParams) -> Callable[[float, float], float]:
+    """r1(t) + (n - closed(q)) * r_branch as a closure of (q, t)."""
+    r1, closed = _r1_fn(params), _closed_fn(params)
+    n, r_branch = params.n_switches, params.r_branch
+
+    def resistance(q: float, t: float) -> float:
+        return r1(t) + (n - closed(q)) * r_branch
+
+    return resistance
+
+
 def r1_of_t(params: SwitchedNetworkParams, t: float) -> float:
     """Series resistor value at time t (constant or half-period alternating)."""
-    r1 = params.r1
-    if isinstance(r1, PiecewiseR1):
-        s = math.fmod(t, r1.period)
-        if s < 0.0:
-            s += r1.period
-        return r1.high if s <= 0.5 * r1.period else r1.low
-    return r1
+    return _r1_fn(params)(t)
 
 
 def closed_switch_count(params: SwitchedNetworkParams, q: float) -> int:
     """Number of shorting switches closed at charge q."""
-    k = math.floor(q / params.q0)
-    if k < 0:
-        return 0
-    if k > params.n_switches:
-        return params.n_switches
-    return int(k)
+    return _closed_fn(params)(q)
 
 
 def switched_resistance(params: SwitchedNetworkParams, q: float, t: float) -> float:
     """Total series resistance r1(t) + (n - closed(q)) * r_branch."""
-    return r1_of_t(params, t) + (params.n_switches - closed_switch_count(params, q)) * params.r_branch
+    return _resistance_fn(params)(q, t)
 
 
 def switch_thresholds(params: SwitchedNetworkParams) -> tuple[float, ...]:
@@ -273,12 +310,13 @@ def _r1_breakpoints(params: SwitchedNetworkParams) -> tuple[float | None, tuple[
 def switched_network(params: SwitchedNetworkParams) -> OnePort:
     """Switched chain; state (q,) is the charge through the chain."""
     bp_period, bp_offsets = _r1_breakpoints(params)
+    resistance = _resistance_fn(params)
 
     def rate(q, u, t):
         return u
 
     def g(x, u, t):
-        return switched_resistance(params, x[0], t)
+        return resistance(x[0], t)
 
     return memristive(
         input_kind=MODELS["switched"].input_kind,
@@ -324,14 +362,15 @@ def capacitor_circuit(params: CapacitorCircuitParams) -> OnePort:
     r_branch = base.r_branch
     n = base.n_switches
     bp_period, bp_offsets = _r1_breakpoints(base)
+    r1, closed = _r1_fn(base), _closed_fn(base)
 
     def f(x, u, t):
         v_c = x[0]
-        i_r1 = v_c / r1_of_t(base, t)
+        i_r1 = v_c / r1(t)
         return ((u - i_r1) / cap, i_r1)
 
     def output(x, u, t):
-        chain = (n - closed_switch_count(base, x[1])) * r_branch
+        chain = (n - closed(x[1])) * r_branch
         return x[0] + chain * u
 
     return OnePort(

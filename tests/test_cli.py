@@ -108,6 +108,45 @@ def test_blow_up_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "drive, sim, analyze, message",
+    [
+        ("amplitude = 1 A", "record_cycles = 1", "phi_q", "line 5, col 11: phi_q needs record_cycles >= 2"),
+        ("amplitude = 1 A", "record_cycles = 1", "sweep(1 Hz)", "line 5, col 11: sweep needs record_cycles >= 2"),
+        ("amplitude = 0 mA", "record_cycles = 2", "linearity", "line 5, col 11: linearity needs a drive amplitude > 0"),
+    ],
+    ids=["phi_q", "sweep", "linearity"],
+)
+def test_analyses_the_run_cannot_feed_exit_2(drive, sim, analyze, message, tmp_path, capsys):
+    # phi_q and a sweep compare consecutive recorded cycles and linearity fits
+    # a slope to the current; each used to fail after the run with a traceback
+    src = tmp_path / "short.dsl"
+    src.write_text(
+        "experiment short\n"
+        "model thermistor { }\n"
+        f"drive current sinusoid {{ {drive}  frequency = 1 Hz }}\n"
+        f"sim {{ transient_cycles = 0  {sim} }}\n"
+        f"analyze {{ {analyze} }}\n"
+    )
+    for command in ("run", "sweep"):
+        assert main([command, str(src), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "short.csv").exists() and not (tmp_path / "short.json").exists()
+
+
+def test_a_run_over_the_step_budget_exits_2(tmp_path, capsys):
+    # 1e300 grid steps: the run is refused before anything is allocated
+    src = tmp_path / "tiny.dsl"
+    src.write_text(
+        "experiment tiny\n"
+        "model thermistor { }\n"
+        "drive current sinusoid { amplitude = 1 mA  frequency = 1 Hz }\n"
+        "sim { dt = 1e-300 s  transient_cycles = 0 }\n"
+    )
+    assert main(["run", str(src), "--out", str(tmp_path)]) == 2
+    assert "takes 1e+300 grid steps per cycle, over the budget of" in capsys.readouterr().err
+
+
 def test_sweep_requires_sweep_frequencies(tmp_path, capsys):
     rc = main(["sweep", "--preset", "fig8_9_switched", "--out", str(tmp_path)])
     assert rc == 2

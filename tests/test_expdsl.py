@@ -251,16 +251,18 @@ def _random_config(rng: random.Random):
         f"drive {drive_kind} {wave} {{ amplitude = {rng.uniform(0, 2)!r} "
         f"frequency = {rng.uniform(1e-6, 100)!r} {extra} }}"
     )
-    if rng.random() < 0.8:
-        lines.append(
-            f"sim {{ transient_cycles = {rng.randrange(0, 20)} "
-            f"record_cycles = {rng.randrange(1, 6)} }}"
-        )
+    sim = rng.random() < 0.8
+    if sim:
+        transient, record = rng.randrange(0, 20), rng.randrange(1, 6)
     groups = rng.sample(["pinch", "phi_q", "loop_area", "linearity"], k=rng.randrange(0, 5))
     sweep = ""
     if rng.random() < 0.3:
         fs = sorted({round(rng.uniform(0.01, 10), 4) for _ in range(rng.randrange(1, 5))})
         sweep = "sweep(" + ", ".join(repr(f) for f in fs) + ")"
+    if sim:
+        if "phi_q" in groups or sweep:
+            record = max(record, 2)  # both compare consecutive cycles
+        lines.append(f"sim {{ transient_cycles = {transient}  record_cycles = {record} }}")
     if groups or sweep:
         lines.append("analyze { " + " ".join(groups + ([sweep] if sweep else [])) + " }")
     if rng.random() < 0.5:
