@@ -361,14 +361,19 @@ class _Parser:
 
     def _check_analyses(self, analyses: dict[str, Token], drive: Drive, controls) -> None:
         """Reject analyses the run could not feed: phi_q and a sweep compare
-        consecutive recorded cycles, and linearity fits a slope to a current
-        that a zero-amplitude drive holds at zero."""
+        consecutive recorded cycles, linearity fits a slope to a current
+        that a zero-amplitude drive holds at zero, and pinch needs current
+        reversals, which a square wave at full duty never makes."""
         for name, tok in analyses.items():
             if name in ("phi_q", "sweep") and controls.record_cycles < 2:
                 self._fail(
                     f"{name} needs record_cycles >= 2, got {controls.record_cycles}", tok)
             if name == "linearity" and drive.amplitude == 0.0:
                 self._fail(f"{name} needs a drive amplitude > 0", tok)
+            if (name == "pinch" and isinstance(drive.waveform, SquareWave)
+                    and drive.waveform.duty == 1.0 and drive.amplitude > 0.0):
+                self._fail(f"{name} needs a bipolar drive; a square wave with duty = 1 "
+                           "never reverses", tok)
 
     def _build_drive(self, model_kind, kind_tok, wave_tok, raw) -> Drive:
         expected = models.MODELS[model_kind].input_kind

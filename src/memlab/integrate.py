@@ -109,14 +109,6 @@ def resolve_step(controls: SimControls, period: float) -> tuple[float, int]:
     return period / n, n
 
 
-def _check_budget(steps: int) -> None:
-    if steps > MAX_GRID_STEPS:
-        raise ConfigError(
-            f"the run takes {steps} grid steps, over the budget of {MAX_GRID_STEPS}; "
-            "raise dt or run fewer cycles"
-        )
-
-
 def _resolve_event_tol(controls: SimControls, dt: float) -> float:
     if controls.event_tolerance is None:
         return dt * 1e-3
@@ -134,13 +126,6 @@ def check_compatible(model, drive: Drive) -> None:
         )
 
 
-def _any_crossed(before: float, after: float, thresholds) -> bool:
-    for th in thresholds:
-        if (before < th) != (after < th):
-            return True
-    return False
-
-
 def locate_events(
     step,
     x0: tuple,
@@ -152,31 +137,36 @@ def locate_events(
     time_breaks=(),
     event_tol: float,
     max_bisect: int = 64,
+    trial: tuple | None = None,
 ):
     """Advance x over [t0, t0+h], splitting at events; returns [(t, x), ...].
 
     step(x, a, b) must integrate the smooth dynamics over [a, b]. time_breaks
-    are known discontinuity times strictly inside the interval (split exactly);
-    crossings of the monitored state component through any threshold are
-    bisected on the step size until the bracket is below event_tol, and the
-    step lands on the crossed side of the threshold.
+    are known discontinuity times strictly inside the interval (split exactly).
+    thresholds are sorted ascending: a step crosses one when the count of
+    thresholds at or below the monitored state component changes, and the
+    crossing is bisected on the step size until the bracket is below
+    event_tol, the step landing on the crossed side. trial, when given, is
+    step(x0, t0, t0 + h) already taken; it stands for the first step of an
+    interval without time_breaks.
     """
+    watched = monitor is not None and len(thresholds) > 0
     bounds = [t0, *time_breaks, t0 + h]
     out: list[tuple[float, tuple]] = []
     x = x0
     for j in range(len(bounds) - 1):
         a, b = bounds[j], bounds[j + 1]
         while b - a > 0.0:
-            trial = step(x, a, b)
-            if monitor is None or not thresholds or not _any_crossed(
-                x[monitor], trial[monitor], thresholds
+            x1 = step(x, a, b) if trial is None else trial
+            trial = None
+            if not watched or (side := bisect_right(thresholds, x[monitor])) == bisect_right(
+                thresholds, x1[monitor]
             ):
-                out.append((b, trial))
-                x = trial
+                out.append((b, x1))
+                x = x1
                 break
-            before = x[monitor]
             lo, hi = 0.0, b - a
-            x_hi = trial
+            x_hi = x1
             iters = 0
             while hi - lo > event_tol:
                 iters += 1
@@ -186,7 +176,7 @@ def locate_events(
                     )
                 mid = 0.5 * (lo + hi)
                 probe = step(x, a, a + mid)
-                if _any_crossed(before, probe[monitor], thresholds):
+                if bisect_right(thresholds, probe[monitor]) != side:
                     hi = mid
                     x_hi = probe
                 else:
@@ -272,78 +262,64 @@ class _Engine:
                 self.rate = rate
         self.rk4 = _tuple_rk4(model.f) if self.rate is None else _scalar_rk4(self.rate)
 
-    def _hits_break(self, t: float) -> bool:
-        for period, offsets in self.specs:
-            tol = 1e-9 * period
-            for off in offsets:
-                s = math.fmod(t - off, period)
-                if s < 0.0:
-                    s += period
-                if s < tol or period - s < tol:
-                    return True
-        return False
-
-    def _interior_breaks(self, t0: float, t1: float):
-        if not self.specs:
-            return ()
+    def breaks(self, t0: float, t1: float) -> list[float]:
+        """The break times in [t0, t1], sorted: off + m*period for integer m,
+        each spec and offset. A break within 1e-9 of its period of an end is
+        returned as that end: step evaluates a stage there a hair inside the
+        interval, and grid_step splits only at the breaks between the ends."""
         found: list[float] = []
         for period, offsets in self.specs:
             tol = 1e-9 * period
             for off in offsets:
                 m = math.floor((t0 - off) / period)
-                while True:
-                    tb = off + m * period
-                    if tb >= t1 - tol:
-                        break
-                    if tb > t0 + tol:
+                while (tb := off + m * period) < t1 + tol:
+                    at_t0 = abs(tb - t0) < tol
+                    if at_t0:
+                        found.append(t0)
+                    if abs(tb - t1) < tol:
+                        found.append(t1)
+                    elif not at_t0 and tb > t0:
                         found.append(tb)
                     m += 1
-        if not found:
-            return ()
+        if len(found) < 2:
+            return found
         found.sort()
-        merged = [found[0]]
+        merged = found[:1]
         for tb in found[1:]:
             if tb - merged[-1] > 1e-12 * self.dt:
                 merged.append(tb)
-        return tuple(merged)
-
-    def _clear_window(self, t: float) -> tuple[float, float]:
-        # (lo, hi) between the breaks on either side of t, less a margin that
-        # covers _hits_break's tolerance and the rounding of t - off and of the
-        # break times: a step inside it has no break at either end or within,
-        # so grid_step neither nudges nor splits it. When floor rounds m off by
-        # one the window misses t, which only sends the step to grid_step.
-        lo, hi = -math.inf, math.inf
-        for period, offsets in self.specs:
-            for off in offsets:
-                m = math.floor((t - off) / period)
-                margin = 4e-9 * period + 1e-14 * (abs(t) + abs(off) + period)
-                lo = max(lo, off + m * period + margin)
-                hi = min(hi, off + (m + 1) * period - margin)
-        return lo, hi
+        return merged
 
     def step(self, x: tuple, a: float, b: float) -> tuple:
-        # One classical RK4 step over a smooth sub-interval. Stages that land
-        # exactly on a discontinuity boundary are evaluated a hair inside the
-        # interval so piecewise coefficients resolve on this sub-step's side.
+        # One classical RK4 step over a smooth sub-interval. A stage at an end
+        # that lies on a break is evaluated a hair inside the interval so
+        # piecewise coefficients resolve on this sub-step's side.
         h = b - a
-        nudge = 1e-9 * h
-        ta = a + nudge if self._hits_break(a) else a
-        tb = b - nudge if self._hits_break(b) else b
+        ta, tb = a, b
+        ends = self.breaks(a, b) if self.specs else ()
+        if ends:
+            nudge = 1e-9 * h
+            if ends[0] == a:
+                ta = a + nudge
+            if ends[-1] == b:
+                tb = b - nudge
         tm = a + 0.5 * h
         value = self.value
         return self.rk4(x, value(ta), value(tm), value(tb), ta, tm, tb, h)
 
-    def grid_step(self, x: tuple, t0: float, t1: float) -> tuple:
+    def grid_step(self, x: tuple, t0: float, t1: float, trial: tuple | None = None) -> tuple:
+        """x after the grid interval [t0, t1]; trial, when given, is
+        step(x, t0, t1) already taken over an interval without breaks."""
         subs = locate_events(
             self.step,
             x,
             t0,
             t1 - t0,
             monitor=self.model.threshold_component,
-            thresholds=self.model.thresholds,
-            time_breaks=self._interior_breaks(t0, t1),
+            thresholds=self.sorted_thresholds,
+            time_breaks=[tb for tb in self.breaks(t0, t1) if t0 < tb < t1],
             event_tol=self.event_tol,
+            trial=trial,
         )
         return subs[-1][1]
 
@@ -353,21 +329,30 @@ class _Engine:
         With rec, the state after interval k is recorded in row k + 1 - k0.
         Raises BlowUpError when the state overflows or stops being finite.
         """
-        # grid_step, inlined where the interval provably has no event: inside
-        # the window (lo, hi) step takes its stages at the interval ends
-        # without a nudge and locate_events makes one step over
-        # [a, a + (t1 - a)], and a trial between the same two thresholds as x
-        # crosses none of them. a + (t1 - a) is t1 exactly (Sterbenz), so the
-        # same operations run in the same order on the state and the samples
-        # are bit-identical to grid_step's; the last stage's input is the
-        # input at t1, recorded and reused as the next step's first. Every
-        # other interval, the first one included, goes to grid_step, which
-        # also recomputes the trial of a crossing step. A one-state model
-        # carries its state as a float and steps it inline on its float
-        # derivative; a larger state goes through the tuple kernel.
+        # grid_step, inlined where the interval provably has no event: in the
+        # window that ends short of the next break (at hi), breaks(a, t1) is
+        # empty, so step takes its stages at the interval ends without a nudge
+        # and locate_events makes one step over [a, a + (t1 - a)], and a trial
+        # between the same two thresholds as x crosses none of them.
+        # a + (t1 - a) is t1 exactly (Sterbenz), so the same operations run in
+        # the same order on the state and the samples are bit-identical to
+        # grid_step's; the last stage's input is the input at t1, recorded and
+        # reused as the next step's first. A trial that crosses a threshold is
+        # handed to grid_step as its first step. Every other interval, the
+        # first one included, goes to grid_step. A one-state model carries its
+        # state as a float and steps it inline on its float derivative; a
+        # larger state goes through the tuple kernel.
         dt = self.dt
         value = self.value
         grid_step = self.grid_step
+        breaks = self.breaks
+        specs = self.specs
+        if specs:
+            # every spec has a break within its period of any t; hi stays
+            # short of the next one by twice the distance at which breaks
+            # takes it for an end, and by the rounding of t
+            reach = min(period for period, _ in specs)
+            slack = 2e-9 * max(period for period, _ in specs)
         thresholds = self.sorted_thresholds
         monitor = self.model.threshold_component or 0
         isfinite = math.isfinite
@@ -388,7 +373,7 @@ class _Engine:
             ys: list = []
             us: list = []
             xs: list = []
-        lo, hi = math.inf, -math.inf
+        hi = -math.inf
         side = bisect_right(thresholds, x if scalar else x[monitor])
         for c0 in range(k0, k1, CHUNK):
             ce = min(c0 + CHUNK, k1)
@@ -396,7 +381,7 @@ class _Engine:
                 a = k * dt
                 t1 = (k + 1) * dt
                 try:
-                    if lo <= a and t1 <= hi:
+                    if t1 <= hi:
                         h = t1 - a
                         tm = a + 0.5 * h
                         um = value(tm)
@@ -414,14 +399,21 @@ class _Engine:
                         if thresholds and bisect_right(
                             thresholds, x1 if scalar else x1[monitor]
                         ) != side:
-                            x = grid_step((x,), a, t1)[0] if scalar else grid_step(x, a, t1)
+                            if scalar:
+                                x = grid_step((x,), a, t1, (x1,))[0]
+                            else:
+                                x = grid_step(x, a, t1, x1)
                             side = bisect_right(thresholds, x if scalar else x[monitor])
                         else:
                             x = x1
                     else:
                         x = grid_step((x,), a, t1)[0] if scalar else grid_step(x, a, t1)
                         u4 = value(t1)
-                        lo, hi = self._clear_window(t1)
+                        hi = math.inf
+                        if specs:
+                            ahead = breaks(t1, t1 + reach)
+                            nb = ahead[0] if ahead else t1
+                            hi = nb - (slack + 1e-15 * nb) if nb > t1 else -math.inf
                         side = bisect_right(thresholds, x if scalar else x[monitor])
                 except OverflowError:
                     raise BlowUpError(f"state overflow at t = {t1}", t1) from None
@@ -479,13 +471,23 @@ class _Record:
         return accumulate_integrals(traj)
 
 
-def _initial_state(model, x0) -> tuple:
+def _start(model, drive: Drive, controls: SimControls, x0, cycles: int):
+    """The engine, the steps per cycle and the initial state of a run of at
+    most the given number of drive cycles."""
+    check_compatible(model, drive)
+    dt, n = resolve_step(controls, drive.period)
+    engine = _Engine(model, drive, dt, _resolve_event_tol(controls, dt))
     x = tuple(model.initial_state) if x0 is None else tuple(float(v) for v in x0)
     if len(x) != model.state_dim:
         raise ConfigError(
             f"initial state has {len(x)} components, model expects {model.state_dim}"
         )
-    return x
+    if cycles * n > MAX_GRID_STEPS:
+        raise ConfigError(
+            f"the run takes {cycles * n} grid steps, over the budget of {MAX_GRID_STEPS}; "
+            "raise dt or run fewer cycles"
+        )
+    return engine, n, x
 
 
 def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
@@ -496,16 +498,11 @@ def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
     the first retained sample. Raises BlowUpError if the state leaves the
     finite range.
     """
-    check_compatible(model, drive)
-    period = drive.period
-    dt, n = resolve_step(controls, period)
-    event_tol = _resolve_event_tol(controls, dt)
-    engine = _Engine(model, drive, dt, event_tol)
-
-    x = _initial_state(model, x0)
+    cycles = controls.transient_cycles + controls.record_cycles
+    engine, n, x = _start(model, drive, controls, x0, cycles)
+    dt = engine.dt
     first_kept = n * controls.transient_cycles
-    total_steps = first_kept + n * controls.record_cycles
-    _check_budget(total_steps)
+    total_steps = n * cycles
     x = engine.march(x, 0, first_kept)
     rec = _Record(model, total_steps - first_kept + 1)
     t0 = first_kept * dt
@@ -533,15 +530,9 @@ def detect_steady_state(model, drive: Drive, controls: SimControls, x0=None) -> 
     earlier cycle of the first matching pair). Gives up with SteadyStateError
     after max(2, 10 * transient_cycles) cycles.
     """
-    check_compatible(model, drive)
-    period = drive.period
-    dt, n = resolve_step(controls, period)
-    event_tol = _resolve_event_tol(controls, dt)
-    engine = _Engine(model, drive, dt, event_tol)
     budget = max(2, 10 * controls.transient_cycles)
-    _check_budget(budget * n)
-
-    x = _initial_state(model, x0)
+    engine, n, x = _start(model, drive, controls, x0, budget)
+    dt = engine.dt
     prev: _Record | None = None
     last_residual = math.inf
     for c in range(budget):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from memlab import integrate
 from memlab.core import OnePort, Trajectory, accumulate_integrals, scalar_rate, terminal_pair
 from memlab.integrate import (
     CHUNK,
-    _any_crossed,
     _Engine,
     _Record,
     _resolve_event_tol,
@@ -389,9 +389,9 @@ def test_plain_stepping_matches_the_general_path(case, run):
     calls = []
     grid_step = _Engine.grid_step
 
-    def counted(self, x, t0, t1):
+    def counted(self, x, t0, t1, trial=None):
         calls.append(t0)
-        return grid_step(self, x, t0, t1)
+        return grid_step(self, x, t0, t1, trial)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Engine, "grid_step", counted)
@@ -483,7 +483,8 @@ def test_a_side_change_is_a_threshold_crossing(before, after, drawn, equal_to):
     model = dataclasses.replace(_switched(), thresholds=tuple(thresholds))
     ordered = _Engine(model, _SINE_I, 0.005, 5e-6).sorted_thresholds
     side_changed = bisect_right(ordered, before) != bisect_right(ordered, after)
-    assert side_changed == _any_crossed(before, after, thresholds)
+    # the oracle: some threshold has before and after on different sides
+    assert side_changed == any((before < th) != (after < th) for th in thresholds)
 
 
 @settings(deadline=None, max_examples=15)
@@ -588,8 +589,16 @@ def test_a_step_is_the_literal_tuple_rk4(model, temp, other, amplitude, h, cycle
     h = b - a
     ta = a + 1e-9 * h if nudge_a else a
     tb = b - 1e-9 * h if nudge_b else b
-    want = _literal_rk4(model.f, drive.value, x, ta, a + 0.5 * h, tb, h)
-    got = _Engine(model, drive, 1.0, 1e-3).step(x, a, b)
+    engine = _Engine(model, drive, 1.0, 1e-3)
+    try:
+        want = _literal_rk4(model.f, drive.value, x, ta, a + 0.5 * h, tb, h)
+    except OverflowError:
+        # a long step can throw a stage far enough that the thermistor's
+        # exp overflows; the engine's step must fail the same way
+        with pytest.raises(OverflowError):
+            engine.step(x, a, b)
+        return
+    got = engine.step(x, a, b)
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
@@ -629,3 +638,104 @@ def test_threshold_component_outside_the_state_is_a_config_error():
             d,
             SimControls(transient_cycles=0, record_cycles=1),
         )
+
+
+# ---------------------------------------------------------------------------
+# break times
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    r1_period=st.sampled_from([None, 7.0013, 0.0031, 5.0]),
+    square=st.none() | st.tuples(st.sampled_from([1.0, 0.1, 37.0]), st.floats(0.01, 1.0)),
+    cycles=st.integers(0, 10**6),
+    start=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0),
+    length=st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.0, 3.0),
+    shifts=st.tuples(*[st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0])] * 2),
+)
+def test_breaks_are_the_exact_break_times(r1_period, square, cycles, start, length, shifts):
+    # the oracle: off + m*period in exact rational arithmetic for every spec
+    # (r1 toggles at 0 and half its period, a square wave at 0 and duty/f),
+    # over intervals up to a million periods from t = 0. Ends on a break, or
+    # shifted off it by half or twice the snapping distance of 1e-9 of the
+    # period, test which breaks are taken for an end.
+    assume(r1_period is not None or square is not None)
+    r1 = 1.0 if r1_period is None else PiecewiseR1(period=r1_period)
+    drive = _SINE_I
+    specs = []
+    if r1_period is not None:
+        specs.append((r1_period, (0.0, 0.5 * r1_period)))
+    if square is not None:
+        frequency, duty = square
+        drive = Drive(SignalKind.CURRENT, SquareWave(amplitude=1.0, frequency=frequency, duty=duty))
+        specs.append((1.0 / frequency, (0.0, duty / frequency) if duty < 1.0 else (0.0,)))
+    unit = specs[0][0]
+    t0 = (cycles + start) * unit + shifts[0] * 1e-9 * unit
+    t1 = t0 + length * unit + shifts[1] * 1e-9 * unit
+    assume(t0 <= t1)
+    dt = drive.period / 2000
+    got = _Engine(_switched(r1), drive, dt, 1e-3 * dt).breaks(t0, t1)
+    assert got == sorted(got)
+    lo, hi = Fraction(t0), Fraction(t1)
+    rounding = Fraction(4 * math.ulp(abs(t1) + 2.0 * unit))
+    returned = [Fraction(r) for r in got]
+    exact = []  # (break time, its snapping distance)
+    for period, offsets in specs:
+        p, tol = Fraction(period), Fraction(period) / 10**9
+        inner_lo, inner_hi = lo + tol + rounding, hi - tol - rounding
+        for off in map(Fraction, offsets):
+            m = math.floor((lo - tol - off) / p) - 1
+            while (b := off + m * p) <= hi + tol + rounding:
+                exact.append((b, tol))
+                m += 1
+                if inner_lo < b < inner_hi:
+                    j = bisect_left(returned, b)
+                    assert any(abs(r - b) <= rounding for r in returned[max(j - 1, 0) : j + 1]), float(b)
+                for end in (t0, t1):
+                    if abs(b - Fraction(end)) < tol - rounding:
+                        assert end in got, (float(b), end)
+    exact.sort()
+    times = [b for b, _ in exact]
+    reach = rounding + max(tol for _, tol in exact)
+    for r, rf in zip(got, returned):
+        # each time is an end within snapping distance of an exact break, or
+        # an exact break that is not within that distance of either end
+        assert t0 <= r <= t1
+        near = exact[bisect_left(times, rf - reach) : bisect_right(times, rf + reach)]
+        if r in (t0, t1):
+            assert any(abs(rf - b) <= rounding + tol for b, tol in near), r
+        else:
+            assert any(
+                abs(rf - b) <= rounding and min(b - lo, hi - b) > tol - rounding for b, tol in near
+            ), r
+
+
+_ONE_HZ_SQUARE = Drive(SignalKind.CURRENT, SquareWave(amplitude=1.0, frequency=1.0))
+_ROUNDED_AWAY = pytest.mark.xfail(
+    strict=True,
+    reason="the stage nudge of 1e-9 of the step rounds away at this t (ROADMAP item 1)",
+)
+
+
+@pytest.mark.parametrize(
+    "cycles",
+    [10, 1000, pytest.param(10**4, marks=_ROUNDED_AWAY), pytest.param(10**6, marks=_ROUNDED_AWAY)],
+)
+def test_the_last_stage_before_a_duty_break_reads_the_high_level(cycles):
+    # the grid interval that ends on the duty break at t = cycles + 0.5 lies
+    # on the +A half of the wave, so all four of its stages must read +A
+    inputs = []
+    probe = memristive(
+        SignalKind.CURRENT,
+        1,
+        lambda x, u, t: inputs.append(u) or (0.0,),
+        g=lambda x, u, t: 1.0,
+        initial_state=(0.0,),
+        name="input probe",
+    )
+    dt, n = resolve_step(SimControls(), _ONE_HZ_SQUARE.period)
+    assert dt == 1 / 2000
+    k = cycles * n + n // 2 - 1
+    assert (k + 1) * dt == cycles + 0.5
+    _Engine(probe, _ONE_HZ_SQUARE, dt, 1e-3 * dt).step((0.0,), k * dt, (k + 1) * dt)
+    assert inputs == [1.0] * 4
