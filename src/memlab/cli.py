@@ -51,6 +51,10 @@ def _report_header(config: ExperimentConfig) -> dict:
     }
 
 
+def _phi_q_entry(cl) -> dict:
+    return {**asdict(cl), "kind": cl.kind.value}
+
+
 def build_report(config: ExperimentConfig, traj: Trajectory, wall_time_s: float) -> dict:
     """Assemble the run report for an already simulated trajectory."""
     report = {
@@ -64,43 +68,25 @@ def build_report(config: ExperimentConfig, traj: Trajectory, wall_time_s: float)
         "phi_q": None,
         "linearity": None,
     }
-    if "pinch" in config.analyses:
-        p = pinch_test(traj)
-        report["pinch"] = {
-            "pinched": p.pinched,
-            "worst_v_at_zero_i": p.worst_v_at_zero_i,
-            "worst_i_at_zero_v": p.worst_i_at_zero_v,
-            "crossing_count": p.crossing_count,
-            "eps_i": p.eps_i,
-            "eps_v": p.eps_v,
-        }
-    if "loop_area" in config.analyses:
-        rows = []
-        for c in range(traj.n_cycles):
-            la = loop_area(traj.cycle(c))
-            rows.append(
-                {
-                    "cycle": c,
-                    "area": la.area,
-                    "normalized_area": la.normalized_area,
-                    "lobe_areas": list(la.lobe_areas),
-                }
-            )
-        report["loop_areas"] = rows
-    if "phi_q" in config.analyses:
-        cl = phi_q_classify(traj)
-        report["phi_q"] = {
-            "kind": cl.kind.value,
-            "dq_per_cycle": cl.dq_per_cycle,
-            "dphi_per_cycle": cl.dphi_per_cycle,
-            "max_phi_spread_at_equal_q": cl.max_phi_spread_at_equal_q,
-        }
-    if "linearity" in config.analyses:
-        lf = linearity_fit(traj)
-        report["linearity"] = {
-            "slope": lf.slope,
-            "relative_rms_residual": lf.relative_rms_residual,
-        }
+    for name in config.analyses:
+        try:
+            if name == "pinch":
+                report["pinch"] = asdict(pinch_test(traj))
+            elif name == "loop_area":
+                rows = []
+                for c in range(traj.n_cycles):
+                    la = loop_area(traj.cycle(c))
+                    # jsonschema takes a list, not a tuple, as an array
+                    rows.append({**asdict(la), "cycle": c, "lobe_areas": list(la.lobe_areas)})
+                report["loop_areas"] = rows
+            elif name == "phi_q":
+                report["phi_q"] = _phi_q_entry(phi_q_classify(traj))
+            else:
+                report["linearity"] = asdict(linearity_fit(traj))
+        except ValueError as exc:
+            # the run left nothing this analysis can measure (a current that
+            # stays at zero has no slope): the simulation, not the config, failed
+            raise SimulationError(f"{name} analysis: {exc}") from exc
     return report
 
 
@@ -204,39 +190,31 @@ def _cmd_sweep(args) -> int:
     points = frequency_sweep(model, config.drive, config.sweep_frequencies, config.controls)
     wall = time.perf_counter() - start
 
+    entries = [
+        {
+            "frequency": p.frequency,
+            "area": p.loop.area,
+            "normalized_area": p.loop.normalized_area,
+            **_phi_q_entry(p.classification),
+        }
+        for p in points
+    ]
+
     base = _out_base(args)
     csv_path = _resolve(base, config.csv_path)
+    columns = ["frequency", "normalized_area", "kind", "dq_per_cycle", "dphi_per_cycle"]
     with open(csv_path, "w", newline="") as fh:
+        # csv writes a float as its str, which is its repr
         writer = csv.writer(fh)
-        writer.writerow(["f", "normalized_area", "kind", "dq_per_cycle", "dphi_per_cycle"])
-        for p in points:
-            writer.writerow(
-                [
-                    repr(p.frequency),
-                    repr(p.loop.normalized_area),
-                    p.classification.kind.value,
-                    repr(p.classification.dq_per_cycle),
-                    repr(p.classification.dphi_per_cycle),
-                ]
-            )
+        writer.writerow(["f", *columns[1:]])
+        writer.writerows([entry[c] for c in columns] for entry in entries)
     print(f"wrote {csv_path}")
 
     if config.json_path is not None:
         payload = {
             **_report_header(config),
             "frequencies": list(config.sweep_frequencies),
-            "points": [
-                {
-                    "frequency": p.frequency,
-                    "area": p.loop.area,
-                    "normalized_area": p.loop.normalized_area,
-                    "kind": p.classification.kind.value,
-                    "dq_per_cycle": p.classification.dq_per_cycle,
-                    "dphi_per_cycle": p.classification.dphi_per_cycle,
-                    "max_phi_spread_at_equal_q": p.classification.max_phi_spread_at_equal_q,
-                }
-                for p in points
-            ],
+            "points": entries,
             "monotonicity": sweep_monotonicity(points),
             "wall_time_s": wall,
         }
@@ -279,15 +257,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

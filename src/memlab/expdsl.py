@@ -95,65 +95,45 @@ class ParseError(ConfigError):
 class Token:
     kind: str  # ident | number | string | punct | eof
     text: str
-    value: float | None
     line: int
     col: int
 
 
-_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z][A-Za-z0-9_]*)?")
-_PUNCT = "{}=(),"
+# one named group per token class; spaces and comments are matched only to be
+# skipped, newlines to count lines
+_TOKEN_RE = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<punct>[{}=(),])
+  | (?P<string>"[^"\n]*")
+  | (?P<number>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z][A-Za-z0-9_]*)?)
+""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line = 1
-    col = 1
+    line_start = 0  # offset just past the last newline
     pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        if ch in " \t\r":
-            pos += 1
-            col += 1
-            continue
-        if ch == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, None, line, col))
-            pos += 1
-            col += 1
-            continue
-        if ch == '"':
-            end = text.find('"', pos + 1)
-            nl = text.find("\n", pos + 1)
-            if end < 0 or (0 <= nl < end):
+    while pos < len(text):
+        col = pos - line_start + 1
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos] == '"':
                 raise ParseError("unterminated string", line, col)
-            tokens.append(Token("string", text[pos + 1 : end], None, line, col))
-            col += end - pos + 1
-            pos = end + 1
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m and (ch.isdigit() or ch in "+-." ):
-            tokens.append(Token("number", m.group(), float(m.group()), line, col))
-            col += m.end() - pos
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            tokens.append(Token("ident", m.group(), None, line, col))
-            col += m.end() - pos
-            pos = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", None, line, col))
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "newline":
+            line += 1
+            line_start = pos
+        elif kind == "string":
+            tokens.append(Token(kind, m.group()[1:-1], line, col))
+        elif kind not in ("space", "comment"):
+            tokens.append(Token(kind, m.group(), line, col))
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -190,28 +170,17 @@ class _Parser:
     def _fail(self, message: str, tok: Token):
         raise ParseError(message, tok.line, tok.col)
 
-    def _expect_ident(self, what: str) -> Token:
+    def _expect(self, kind: str, what: str, text: str | None = None) -> Token:
+        """The next token, which must be of this kind (and text, if given)."""
         tok = self._next()
-        if tok.kind != "ident":
+        if tok.kind != kind or (text is not None and tok.text != text):
             self._fail(f"expected {what}, got {tok.text!r}", tok)
-        return tok
-
-    def _expect_punct(self, ch: str) -> Token:
-        tok = self._next()
-        if tok.kind != "punct" or tok.text != ch:
-            self._fail(f"expected {ch!r}, got {tok.text!r}", tok)
-        return tok
-
-    def _expect_string(self, what: str) -> Token:
-        tok = self._next()
-        if tok.kind != "string":
-            self._fail(f"expected {what} as a quoted string, got {tok.text!r}", tok)
         return tok
 
     def _value(self) -> tuple[float | bool, Token]:
         tok = self._next()
         if tok.kind == "number":
-            val = float(tok.value)
+            val = float(tok.text)
             nxt = self._peek()
             # an ident right after a number is a unit suffix, unless it is
             # followed by '=' (then it is the next key)
@@ -229,7 +198,7 @@ class _Parser:
         self._fail(f"expected a number or true/false, got {tok.text!r}", tok)
 
     def _kv_block(self, block: str) -> dict[str, tuple[float | bool, Token]]:
-        self._expect_punct("{")
+        self._expect("punct", "'{'", "{")
         out: dict[str, tuple[float | bool, Token]] = {}
         while True:
             tok = self._next()
@@ -239,15 +208,15 @@ class _Parser:
                 self._fail(f"expected a key or '}}' in {block} block, got {tok.text!r}", tok)
             if tok.text in out:
                 self._fail(f"duplicate key {tok.text!r} in {block} block", tok)
-            self._expect_punct("=")
+            self._expect("punct", "'='", "=")
             val, _ = self._value()
             out[tok.text] = (val, tok)
 
     def parse(self) -> ExperimentConfig:
-        tok = self._expect_ident("'experiment'")
+        tok = self._expect("ident", "'experiment'")
         if tok.text != "experiment":
             self._fail("description must start with 'experiment <name>'", tok)
-        name = self._expect_ident("experiment name").text
+        name = self._expect("ident", "experiment name").text
 
         seen: dict[str, Token] = {}
         model_kind = None
@@ -258,7 +227,6 @@ class _Parser:
         sweep: tuple[float, ...] = ()
         csv_path = None
         json_path = None
-        has_output = False
 
         while True:
             tok = self._next()
@@ -271,16 +239,16 @@ class _Parser:
             seen[tok.text] = tok
 
             if tok.text == "model":
-                kind_tok = self._expect_ident("model kind")
+                kind_tok = self._expect("ident", "model kind")
                 if kind_tok.text not in models.MODELS:
                     self._fail(f"unknown model kind {kind_tok.text!r}", kind_tok)
                 model_kind = kind_tok.text
                 model_raw = self._kv_block("model")
             elif tok.text == "drive":
-                kind_tok = self._expect_ident("'current' or 'voltage'")
+                kind_tok = self._expect("ident", "'current' or 'voltage'")
                 if kind_tok.text not in ("current", "voltage"):
                     self._fail(f"drive kind must be 'current' or 'voltage', got {kind_tok.text!r}", kind_tok)
-                wave_tok = self._expect_ident("'sinusoid' or 'square'")
+                wave_tok = self._expect("ident", "'sinusoid' or 'square'")
                 if wave_tok.text not in _WAVEFORMS:
                     self._fail(f"waveform must be 'sinusoid' or 'square', got {wave_tok.text!r}", wave_tok)
                 drive_spec = (kind_tok, wave_tok, self._kv_block("drive"))
@@ -289,14 +257,13 @@ class _Parser:
             elif tok.text == "analyze":
                 analyses, sweep = self._analyze_block()
             else:
-                has_output = True
-                csv_kw = self._expect_ident("'csv'")
+                csv_kw = self._expect("ident", "'csv'")
                 if csv_kw.text != "csv":
                     self._fail(f"output block starts with csv, got {csv_kw.text!r}", csv_kw)
-                csv_path = self._expect_string("csv path").text
+                csv_path = self._expect("string", "csv path as a quoted string").text
                 if self._peek().kind == "ident" and self._peek().text == "json":
                     self._next()
-                    json_path = self._expect_string("json path").text
+                    json_path = self._expect("string", "json path as a quoted string").text
 
         if model_kind is None:
             raise ParseError("missing model block")
@@ -307,7 +274,7 @@ class _Parser:
         params = self._normalize_model(model_kind, model_raw, drive)
         controls = self._build_controls(sim_raw, seen.get("sim"))
         self._check_analyses(analyses, drive, controls)
-        if not has_output:
+        if "output" not in seen:
             csv_path = f"{name}.csv"
             json_path = f"{name}.json"
 
@@ -327,7 +294,7 @@ class _Parser:
     def _analyze_block(self) -> tuple[dict[str, Token], tuple[float, ...]]:
         """The analyses named (each with its token, a sweep's under 'sweep')
         and the sweep frequencies."""
-        self._expect_punct("{")
+        self._expect("punct", "'{'", "{")
         analyses: dict[str, Token] = {}
         sweep: tuple[float, ...] = ()
         while True:
@@ -339,7 +306,7 @@ class _Parser:
             if tok.text == "sweep":
                 if sweep:
                     self._fail("duplicate sweep", tok)
-                self._expect_punct("(")
+                self._expect("punct", "'('", "(")
                 freqs = []
                 while True:
                     val, vtok = self._value()

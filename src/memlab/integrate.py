@@ -266,7 +266,9 @@ class _Engine:
         """The break times in [t0, t1], sorted: off + m*period for integer m,
         each spec and offset. A break within 1e-9 of its period of an end is
         returned as that end: step evaluates a stage there a hair inside the
-        interval, and grid_step splits only at the breaks between the ends."""
+        interval, and grid_step splits only at the breaks between the ends.
+        A time within 1e-12 of the step after the one before it is dropped,
+        unless it is t1: each end found is returned."""
         found: list[float] = []
         for period, offsets in self.specs:
             tol = 1e-9 * period
@@ -286,7 +288,7 @@ class _Engine:
         found.sort()
         merged = found[:1]
         for tb in found[1:]:
-            if tb - merged[-1] > 1e-12 * self.dt:
+            if tb - merged[-1] > 1e-12 * self.dt or (tb == t1 and merged[-1] < t1):
                 merged.append(tb)
         return merged
 
@@ -487,6 +489,16 @@ def _start(model, drive: Drive, controls: SimControls, x0, cycles: int):
             f"the run takes {cycles * n} grid steps, over the budget of {MAX_GRID_STEPS}; "
             "raise dt or run fewer cycles"
         )
+    if model.breakpoint_period is not None:
+        # the steps split at each model breakpoint: a period far below dt
+        # would list and step millions of breaks in one grid interval
+        splits = cycles * drive.period / model.breakpoint_period * len(model.breakpoint_offsets)
+        if splits > MAX_GRID_STEPS:
+            raise ConfigError(
+                f"a breakpoint period of {model.breakpoint_period} s splits the run "
+                f"{splits:.3g} times, over the budget of {MAX_GRID_STEPS}; "
+                "raise the period or run fewer cycles"
+            )
     return engine, n, x
 
 

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from memlab import (
     ConfigError,
@@ -15,7 +17,7 @@ from memlab import (
     serialize_experiment,
 )
 from memlab.cli import main
-from memlab.expdsl import preset_names, preset_source
+from memlab.expdsl import _tokenize, preset_names, preset_source
 
 MINIMAL = """
 experiment demo
@@ -153,6 +155,55 @@ def test_lexer_errors():
         parse_experiment('experiment x output csv "unterminated')
     with pytest.raises(ParseError):
         parse_experiment("experiment x @")
+
+
+_LETTERS = "abcxyzAEZ_"
+_DIGITS = st.text("0123456789", min_size=1, max_size=3)
+_SIGN = st.sampled_from(["", "+", "-"])
+_TOKENS = st.one_of(
+    st.tuples(
+        st.just("ident"),
+        st.builds(
+            "{}{}{}".format,  # a name, and a unit's /K suffix
+            st.sampled_from(_LETTERS),
+            st.text(_LETTERS + "09", max_size=4),
+            st.just("") | st.text(_LETTERS[:-1], min_size=1, max_size=2).map("/{}".format),
+        ),
+    ),
+    st.tuples(
+        st.just("number"),
+        st.builds(
+            "{}{}{}".format,  # 12, 1., 1.5 or .5, then an optional exponent
+            _SIGN,
+            _DIGITS | _DIGITS.map("{}.".format) | _DIGITS.map("{0}.{0}".format)
+            | _DIGITS.map(".{}".format),
+            st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"), _SIGN, _DIGITS),
+        ),
+    ),
+    st.tuples(st.just("punct"), st.sampled_from("{}=(),")),
+    st.tuples(st.just("string"), st.text(st.characters(exclude_characters='"\n'), max_size=8)),
+)
+# a space, a tab, a carriage return, a newline or a comment with its newline
+_GAPS = st.lists(st.sampled_from([" ", "\t", "\r", "\n", "# note {=}\n"]), min_size=1, max_size=3)
+
+
+@given(
+    st.lists(st.tuples(_TOKENS, _GAPS.map("".join)), max_size=12),
+    st.sampled_from(["", "\n", "# trailing comment"]),
+)
+def test_tokens_are_found_at_the_positions_they_were_written_at(tokens, tail):
+    # the text is built one token and gap at a time while counting lines and
+    # columns; a gap after every token keeps neighbours from running together
+    text, line, col = "", 1, 1
+    want = []
+    for (kind, token), gap in [*tokens, (("eof", ""), tail)]:
+        want.append((kind, token, line, col))
+        for ch in (f'"{token}"' if kind == "string" else token) + gap:
+            text += ch
+            line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+    # the end of the text is one past its last character
+    want[-1] = ("eof", "", line, col)
+    assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)] == want
 
 
 def test_q0_is_derived_from_the_drive_when_missing():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from memlab import (
@@ -95,6 +95,21 @@ def test_the_step_budget_bounds_a_run(monkeypatch):
         simulate(m, d, SimControls(transient_cycles=2, record_cycles=2))
     with pytest.raises(ConfigError, match="takes 20000 grid steps, over the budget of 6000"):
         detect_steady_state(m, d, SimControls(transient_cycles=1))
+
+
+def test_the_step_budget_bounds_the_breakpoint_splits(monkeypatch):
+    # r1 toggles twice a period: over 3 cycles of a 10 s drive a 0.01 s
+    # period splits the steps 6000 times, a 0.005 s period 12000 times
+    monkeypatch.setattr(integrate, "MAX_GRID_STEPS", 6000)
+    d = Drive(SignalKind.CURRENT, Sinusoid(amplitude=1.0, frequency=0.1))
+    controls = SimControls(transient_cycles=1, record_cycles=2)
+    assert len(simulate(_switched(PiecewiseR1(period=0.01)), d, controls)) == 4001
+    with pytest.raises(ConfigError, match=r"splits the run 1.2e\+04 times, over the budget"):
+        simulate(_switched(PiecewiseR1(period=0.005)), d, controls)
+    # refused before any break is listed, however short the period
+    monkeypatch.undo()
+    with pytest.raises(ConfigError, match="splits the run 6e\\+301 times"):
+        simulate(_switched(PiecewiseR1(period=1e-300)), d, controls)
 
 
 def test_event_tolerance_must_be_below_dt():
@@ -652,6 +667,12 @@ def test_threshold_component_outside_the_state_is_a_config_error():
     start=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0),
     length=st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.0, 3.0),
     shifts=st.tuples(*[st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0])] * 2),
+)
+# an interval shorter than 1e-12 of the step whose ends both sit on a break:
+# merging the times that close must not fold t1 into t0
+@example(
+    r1_period=None, square=(1.0, 1.0), cycles=0, start=0.0,
+    length=1.401298464324817e-45, shifts=(0.0, 0.0),
 )
 def test_breaks_are_the_exact_break_times(r1_period, square, cycles, start, length, shifts):
     # the oracle: off + m*period in exact rational arithmetic for every spec
