@@ -1,5 +1,8 @@
 """Trajectory analytics: pinch test, loop areas, flux-charge classification,
 linearity fits, frequency sweeps.
+
+The analyses follow IEEE arithmetic: on a run whose values overflow they give
+inf or nan measures, without numpy's overflow or invalid-value warning.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ def _zero_crossings(a: np.ndarray, b: np.ndarray) -> list[tuple[int, float, floa
     """
     a = np.asarray(a)
     a0, a1 = a[:-1], a[1:]
+    # signs compared, not multiplied: a product underflows to -0.0 or overflows
+    reverses = ((a0 < 0.0) & (a1 > 0.0)) | ((a0 > 0.0) & (a1 < 0.0))
     out = []
-    for k in np.flatnonzero((a0 == 0.0) | (a0 * a1 < 0.0)).tolist():
+    for k in np.flatnonzero((a0 == 0.0) | reverses).tolist():
         ak = a[k]
         if ak == 0.0:
             out.append((k, 0.0, float(b[k])))
@@ -49,6 +54,7 @@ class PinchReport:
     eps_v: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pinch_test(traj: Trajectory, eps_i: float | None = None, eps_v: float | None = None) -> PinchReport:
     """Does the v-i orbit pass through the origin at every current reversal?
 
@@ -104,6 +110,7 @@ def _shoelace(x: np.ndarray, y: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def loop_area(traj: Trajectory, origin_tol_rel: float = 0.01) -> LoopArea:
     """Shoelace area of one cycle's (i, v) polygon.
 
@@ -246,6 +253,7 @@ def phi_spread_at_equal_q(traj: Trajectory, cycle_index: int = -1) -> float:
     return spread
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def phi_q_classify(traj: Trajectory, tol_rel: float = 1e-3) -> PhiQClassification:
     """Classify the flux-charge orbit of a multi-cycle trajectory.
 
@@ -286,6 +294,7 @@ class LinearityFit:
     relative_rms_residual: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def linearity_fit(traj: Trajectory) -> LinearityFit:
     """Least-squares v = R*i through the origin with rms residual relative to rms(v)."""
     i = traj.i

@@ -155,6 +155,7 @@ class Drive:
 StateFn = Callable[[tuple, float, float], tuple]
 ScalarFn = Callable[[tuple, float, float], float]
 RateFn = Callable[[float, float, float], float]
+ColumnFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def scalar_rate(rate: RateFn) -> StateFn:
@@ -170,6 +171,26 @@ def scalar_rate(rate: RateFn) -> StateFn:
 
     f.scalar = rate
     return f
+
+
+def from_columns(columns: ColumnFn) -> ScalarFn:
+    """A per-sample fn(x, u, t) -> float from its column form
+    columns(X, U, T), which takes one state per row of X, with its input and
+    time in U and T, and returns one value per row.
+
+    fn evaluates a single row and carries columns as fn.columns, which the
+    recording loop calls once per chunk of samples. numpy's basic float
+    operations round as Python's do, and fn lets them overflow or go invalid
+    silently and raise on a division by zero, as Python's do.
+    """
+
+    @np.errstate(divide="raise", over="ignore", invalid="ignore", under="ignore")
+    def fn(x, u, t):
+        X, U, T = np.array([x], dtype=float), np.array([u], dtype=float), np.array([t], dtype=float)
+        return float(columns(X, U, T)[0])
+
+    fn.columns = columns
+    return fn
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,6 +242,9 @@ def memristive(
     events are OnePort's event fields. The output raises ValueError on a state
     of the wrong length or a non-finite input or time, and
     ModelEvaluationError if the output factor is not finite at (x, u, t).
+    A g built by from_columns gives the output a column form too,
+    output_fn.columns(X, U, T), which raises ValueError if any row's input,
+    time or factor is not finite.
     """
 
     def output_fn(x, u: float, t: float) -> float:
@@ -237,6 +261,16 @@ def memristive(
             )
         return factor * u
 
+    factor_columns = getattr(g, "columns", None)
+    if factor_columns is not None:
+
+        def columns(X, U, T):
+            factor = factor_columns(X, U, T)
+            if not (np.isfinite(U).all() and np.isfinite(T).all() and np.isfinite(factor).all()):
+                raise ValueError(f"model {name!r}: non-finite input, time or output factor")
+            return factor * U
+
+        output_fn.columns = columns
     return OnePort(input_kind, state_dim, f, output_fn, initial_state, name, **events)
 
 
@@ -315,8 +349,10 @@ def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def accumulate_integrals(traj: Trajectory) -> Trajectory:
-    """Fill phi and q with running trapezoid integrals of v and i from sample 0."""
+    """Fill phi and q with running trapezoid integrals of v and i from sample 0;
+    an integral that overflows is inf or nan, without numpy's warning."""
     if len(traj) < 2:
         raise ValueError("need at least two samples to integrate")
     steps = np.diff(traj.t)

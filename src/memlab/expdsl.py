@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
 from .core import ConfigError, Drive, SignalKind, Sinusoid, SquareWave
-from .integrate import SimControls
+from .integrate import SimControls, resolve_step
 from . import models
 
 _UNIT_SCALE = {
@@ -330,7 +330,8 @@ class _Parser:
         """Reject analyses the run could not feed: phi_q and a sweep compare
         consecutive recorded cycles, linearity fits a slope to a current
         that a zero-amplitude drive holds at zero, and pinch needs current
-        reversals, which a square wave at full duty never makes."""
+        reversals, which the grid samples of a square wave show only when
+        each level lasts at least one grid step (at full duty, never)."""
         for name, tok in analyses.items():
             if name in ("phi_q", "sweep") and controls.record_cycles < 2:
                 self._fail(
@@ -338,9 +339,16 @@ class _Parser:
             if name == "linearity" and drive.amplitude == 0.0:
                 self._fail(f"{name} needs a drive amplitude > 0", tok)
             if (name == "pinch" and isinstance(drive.waveform, SquareWave)
-                    and drive.waveform.duty == 1.0 and drive.amplitude > 0.0):
-                self._fail(f"{name} needs a bipolar drive; a square wave with duty = 1 "
-                           "never reverses", tok)
+                    and drive.amplitude > 0.0):
+                try:
+                    n = resolve_step(controls, drive.period)[1]
+                except ConfigError:
+                    continue  # the run reports the step itself
+                duty = drive.waveform.duty
+                if min(duty, 1.0 - duty) * n < 1.0 - 1e-9:
+                    self._fail(f"{name} needs a bipolar drive; at {n} steps a cycle, a square "
+                               f"wave with duty = {duty!r} holds one level for less than a "
+                               "grid step", tok)
 
     def _build_drive(self, model_kind, kind_tok, wave_tok, raw) -> Drive:
         expected = models.MODELS[model_kind].input_kind

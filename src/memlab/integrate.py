@@ -370,19 +370,17 @@ class _Engine:
                 return all(map(isfinite, x))
 
         if rec is not None:
-            output = rec.output
             states = rec.state[:, 0] if scalar else rec.state
-            ys: list = []
             us: list = []
             xs: list = []
         hi = -math.inf
         side = bisect_right(thresholds, x if scalar else x[monitor])
         for c0 in range(k0, k1, CHUNK):
             ce = min(c0 + CHUNK, k1)
-            for k in range(c0, ce):
-                a = k * dt
-                t1 = (k + 1) * dt
-                try:
+            try:
+                for k in range(c0, ce):
+                    a = k * dt
+                    t1 = (k + 1) * dt
                     if t1 <= hi:
                         h = t1 - a
                         tm = a + 0.5 * h
@@ -417,36 +415,39 @@ class _Engine:
                             nb = ahead[0] if ahead else t1
                             hi = nb - (slack + 1e-15 * nb) if nb > t1 else -math.inf
                         side = bisect_right(thresholds, x if scalar else x[monitor])
-                except OverflowError:
-                    raise BlowUpError(f"state overflow at t = {t1}", t1) from None
-                if not finite(x):
-                    raise BlowUpError(f"state became non-finite at t = {t1}", t1)
-                if rec is not None:
-                    ys.append(output((x,) if scalar else x, u4, t1))
-                    us.append(u4)
-                    xs.append(x)
-                u1 = u4
-            if rec is not None:
-                # (k + 1) * dt for each k of the chunk: k + 1 < 2**53 is an
-                # exact float, so the product rounds as the loop's t1 does
-                rows = slice(c0 + 1 - k0, ce + 1 - k0)
-                rec.t[rows] = np.arange(c0 + 1, ce + 1, dtype=float) * dt
-                rec.u[rows] = us
-                rec.y[rows] = ys
-                states[rows] = xs
-                us.clear()
-                ys.clear()
-                xs.clear()
+                    if not finite(x):
+                        raise BlowUpError(f"state became non-finite at t = {t1}", t1)
+                    if rec is not None:
+                        us.append(u4)
+                        xs.append(x)
+                    u1 = u4
+            except OverflowError:
+                raise BlowUpError(f"state overflow at t = {t1}", t1) from None
+            finally:
+                # the rows stepped so far, also when the stepping raised: an
+                # output failure among them came first, and is raised instead
+                if rec is not None and us:
+                    # (k + 1) * dt for each k of the chunk: k + 1 < 2**53 is
+                    # an exact float, so the product rounds as the loop's t1
+                    e = c0 + len(us)
+                    rows = slice(c0 + 1 - k0, e + 1 - k0)
+                    rec.t[rows] = np.arange(c0 + 1, e + 1, dtype=float) * dt
+                    rec.u[rows] = us
+                    states[rows] = xs
+                    us.clear()
+                    xs.clear()
+                    rec.fill(rows)
         return (x,) if scalar else x
 
 
 class _Record:
     """Sample columns of one recorded stretch: row 0 by put, the rest by
-    march, one chunk at a time."""
+    march and fill, one chunk at a time."""
 
     def __init__(self, model, rows: int):
         self.model = model
         self.output_fn = model.output_fn
+        self.columns = getattr(model.output_fn, "columns", None)
         self.t = np.empty(rows)
         self.u = np.empty(rows)
         self.y = np.empty(rows)
@@ -464,6 +465,24 @@ class _Record:
         self.t[row] = t
         self.u[row] = u
         self.state[row] = x
+
+    def fill(self, rows: slice) -> None:
+        """y over rows from the t, u and state stored there: one call to
+        output_fn.columns, or one output call a row when output_fn has no
+        column form or the column call fails, so that a failure is raised at
+        the first row that fails, as output raises it."""
+        X, U, T = self.state[rows], self.u[rows], self.t[rows]
+        if self.columns is not None:
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    self.y[rows] = self.columns(X, U, T)
+                return
+            except (ArithmeticError, ValueError, MemlabError):
+                pass
+        output = self.output
+        self.y[rows] = [
+            output(tuple(x), u, t) for x, u, t in zip(X.tolist(), U.tolist(), T.tolist())
+        ]
 
     def trajectory(self, dt: float, n: int) -> Trajectory:
         v, i = terminal_pair(self.model.input_kind, self.u, self.y)

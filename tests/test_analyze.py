@@ -267,7 +267,7 @@ def _zero_crossings_loop(a, b):
         a0, a1 = a[k], a[k + 1]
         if a0 == 0.0:
             yield k, 0.0, float(b[k])
-        elif a0 * a1 < 0.0:
+        elif (a0 < 0.0 < a1) or (a1 < 0.0 < a0):
             frac = a0 / (a0 - a1)
             yield k, float(frac), float(b[k] + frac * (b[k + 1] - b[k]))
     if len(a) and a[-1] == 0.0:
@@ -318,6 +318,33 @@ def test_zero_crossings_match_the_loop(pairs, ends):
     b = np.array([p[1] for p in pairs], dtype=float)
     # repr tells -0.0 from 0.0 and keeps int and float apart
     assert repr(_zero_crossings(a, b)) == repr(list(_zero_crossings_loop(a, b)))
+
+
+# nonzero magnitudes in [2**-20, 2**20]: scaled by 2**k, |k| <= 1000, each
+# stays nonzero and finite with its sign
+_SCALABLE = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=2.0**-20, max_value=2.0**20),
+    st.floats(min_value=-(2.0**20), max_value=-(2.0**-20)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_SCALABLE, max_size=40), st.integers(-1000, 1000))
+def test_zero_crossings_do_not_move_when_the_samples_are_scaled(values, k):
+    # a crossing depends on signs alone; the product a0 * a1 of two scaled
+    # samples underflows to -0.0 at 2**-1000 and overflows at 2**1000
+    a = np.array(values, dtype=float)
+    b = np.arange(len(a), dtype=float)
+    crossings = [c[0] for c in _zero_crossings(a, b)]
+    assert [c[0] for c in _zero_crossings(np.ldexp(a, k), b)] == crossings
+
+
+def test_a_current_of_1e_170_amperes_reverses():
+    # 1e-170 * -1e-170 underflows to -0.0, which a product test misses
+    t = np.linspace(0.0, 2.0, 401)
+    a = 1e-170 * np.sin(2.0 * np.pi * t + 0.1)
+    assert len(_zero_crossings(a, t)) == 4
 
 
 @settings(deadline=None, max_examples=300)

@@ -231,6 +231,36 @@ def test_square_drive_and_duty():
         )
 
 
+def _square_pinch(duty, sim=""):
+    return (
+        "experiment s\nmodel thermistor { }\n"
+        f"drive current square {{ amplitude = 1 mA  frequency = 1 Hz  duty = {duty} }}\n"
+        f"sim {{ {sim} }}\n"
+        "analyze { pinch }\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "duty, sim",
+    [("1", ""), ("0.9999", ""), ("0.0004", ""), ("0.996", "dt = 0.005 s")],
+    ids=["full", "low-part-short", "high-part-short", "short-at-200-steps"],
+)
+def test_pinch_on_a_square_level_shorter_than_a_grid_step_is_refused(duty, sim):
+    # the grid samples never read a level that lasts less than one step, so
+    # the recorded current does not reverse
+    with pytest.raises(ParseError) as exc:
+        parse_experiment(_square_pinch(duty, sim))
+    assert "line 5, col 11: pinch needs a bipolar drive" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "duty, sim", [("0.9995", ""), ("0.0005", ""), ("0.5", ""), ("0.5", "dt = 1 s")])
+def test_pinch_on_a_square_level_of_one_grid_step_parses(duty, sim):
+    # at 2,000 steps a cycle each level holds at least one grid sample; a dt
+    # over period/200 is left for the run to report
+    assert parse_experiment(_square_pinch(duty, sim)).analyses == ("pinch",)
+
+
 def test_sweep_frequencies_parse():
     cfg = parse_experiment(
         "experiment s\nmodel switched { q0 = 0.1 }\n"
@@ -296,7 +326,8 @@ def _random_config(rng: random.Random):
     extra = (
         f"phase = {rng.uniform(-3, 3)!r}"
         if wave == "sinusoid"
-        else f"duty = {rng.uniform(0.05, 1.0)!r}"
+        # at 2,000 steps a cycle, so that each level lasts a grid step
+        else f"duty = {min(rng.uniform(0.05, 1.0), 0.999)!r}"
     )
     lines.append(
         f"drive {drive_kind} {wave} {{ amplitude = {rng.uniform(0, 2)!r} "

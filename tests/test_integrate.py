@@ -22,7 +22,15 @@ from memlab import (
     simulate,
 )
 from memlab import integrate
-from memlab.core import OnePort, Trajectory, accumulate_integrals, scalar_rate, terminal_pair
+from memlab.core import (
+    ModelEvaluationError,
+    OnePort,
+    Trajectory,
+    accumulate_integrals,
+    from_columns,
+    scalar_rate,
+    terminal_pair,
+)
 from memlab.integrate import (
     CHUNK,
     _Engine,
@@ -262,6 +270,97 @@ def test_stiff_step_instability_is_a_blow_up():
     d = Drive(SignalKind.CURRENT, Sinusoid(amplitude=5e-4, frequency=1e-6))
     with pytest.raises(BlowUpError):
         simulate(m, d, SimControls(dt=5000.0, transient_cycles=0, record_cycles=1))
+
+
+# ---------------------------------------------------------------------------
+# recorded outputs: one column call a chunk, a replaced output_fn once a row
+
+
+def test_a_replaced_output_fn_is_recorded_once_per_row():
+    m = thermistor()
+    d = Drive(SignalKind.CURRENT, Sinusoid(amplitude=5e-4, frequency=0.01))
+    c = SimControls(transient_cycles=1, record_cycles=1)  # 2,001 rows, two chunks
+    calls = []
+
+    def counted(x, u, t):
+        calls.append(t)
+        return m.output_fn(x, u, t)
+
+    assert hasattr(m.output_fn, "columns") and not hasattr(counted, "columns")
+    got = simulate(dataclasses.replace(m, output_fn=counted), d, c)
+    assert calls == got.t.tolist()
+    assert got.y.tobytes() == simulate(m, d, c).y.tobytes()
+    offset = simulate(dataclasses.replace(m, output_fn=lambda x, u, t: t + 1.0), d, c)
+    assert np.array_equal(offset.y, offset.t + 1.0)
+
+
+def _first_failure(model, drive, controls):
+    """(message, time) of the BlowUpError a run without transient raises:
+    the state after each grid interval (stepped by grid_step) and the output
+    at each sample, taken in time order."""
+    dt, n = resolve_step(controls, drive.period)
+    engine = _Engine(model, drive, dt, _resolve_event_tol(controls, dt))
+    x = tuple(model.initial_state)
+    for k in range(n * controls.record_cycles + 1):
+        t = k * dt
+        if k:
+            try:
+                x = engine.grid_step(x, (k - 1) * dt, t)
+            except OverflowError:
+                return f"state overflow at t = {t}", t
+            if not all(map(math.isfinite, x)):
+                return f"state became non-finite at t = {t}", t
+        try:
+            model.output(x, drive.value(t), t)
+        except (OverflowError, ModelEvaluationError) as exc:
+            return f"output not finite at t = {t}: {exc}", t
+    pytest.fail("the reference run did not fail")
+
+
+def _growing(t_bad):
+    # x' = x**2 from x = 1 leaves the float range near t = 1; the output
+    # factor, in column form, turns inf from t_bad on
+    return memristive(
+        SignalKind.CURRENT,
+        1,
+        scalar_rate(lambda x0, u, t: x0 * x0),
+        g=from_columns(lambda X, U, T: np.where(T < t_bad, 1.0, np.inf)),
+        initial_state=(1.0,),
+        name="growing",
+    )
+
+
+def _cooling(t_bad):
+    # the thermistor's own output with a state falling 298 K a second: its
+    # exp overflows below about 4.8 K (t > 0.98 s); the state turns inf
+    # from t_bad on
+    return dataclasses.replace(
+        thermistor(), f=scalar_rate(lambda temp, u, t: -298.0 if t < t_bad else math.inf)
+    )
+
+
+@pytest.mark.parametrize(
+    "model, first",
+    [
+        (_growing(0.5), "output"),
+        (_growing(1.5), "state"),
+        (_cooling(1.5), "output"),
+        (_cooling(0.5), "state"),
+    ],
+    ids=["growing-output-first", "growing-state-first", "cooling-output-first",
+         "cooling-state-first"],
+)
+def test_the_earliest_failure_in_a_chunk_is_raised(model, first):
+    # both failures fall in the first chunk (t < CHUNK * dt = 2.048 s): the
+    # chunk's outputs are computed after its steps, and an output failure
+    # before the state's is still the one raised
+    d = Drive(SignalKind.CURRENT, Sinusoid(amplitude=1e-3, frequency=0.25))  # dt = 2 ms
+    c = SimControls(transient_cycles=0, record_cycles=1)
+    expected = _first_failure(model, d, c)
+    assert expected[0].startswith(first) and expected[1] < CHUNK * 0.002
+    with pytest.raises(BlowUpError) as exc:
+        simulate(model, d, c)
+    assert (str(exc.value), exc.value.time) == expected
 
 
 def test_switch_events_land_within_a_step_of_the_exact_time():
