@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -29,7 +30,8 @@ from .analyze import (
     sweep_monotonicity,
 )
 from .core import ConfigError, Sinusoid, Trajectory
-from .expdsl import ExperimentConfig, build_model, parse_experiment, preset_names, preset_source
+from .expdsl import ExperimentConfig, build_model, check_analyses, parse_experiment
+from .expdsl import preset_names, preset_source
 from .integrate import SimulationError, simulate
 
 SCHEMA_VERSION = 1
@@ -55,6 +57,16 @@ def _phi_q_entry(cl) -> dict:
     return {**asdict(cl), "kind": cl.kind.value}
 
 
+def _measured(name: str, entry: dict) -> dict:
+    """An analysis' report entry, if each measure in it is finite: one that
+    overflowed leaves the analysis nothing to report, a SimulationError."""
+    for key, value in entry.items():
+        values = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise SimulationError(f"{name} analysis: {key} is not finite")
+    return entry
+
+
 def build_report(config: ExperimentConfig, traj: Trajectory, wall_time_s: float) -> dict:
     """Assemble the run report for an already simulated trajectory."""
     report = {
@@ -71,18 +83,19 @@ def build_report(config: ExperimentConfig, traj: Trajectory, wall_time_s: float)
     for name in config.analyses:
         try:
             if name == "pinch":
-                report["pinch"] = asdict(pinch_test(traj))
+                report["pinch"] = _measured(name, asdict(pinch_test(traj)))
             elif name == "loop_area":
                 rows = []
                 for c in range(traj.n_cycles):
                     la = loop_area(traj.cycle(c))
                     # jsonschema takes a list, not a tuple, as an array
-                    rows.append({**asdict(la), "cycle": c, "lobe_areas": list(la.lobe_areas)})
+                    entry = {**asdict(la), "cycle": c, "lobe_areas": list(la.lobe_areas)}
+                    rows.append(_measured(name, entry))
                 report["loop_areas"] = rows
             elif name == "phi_q":
-                report["phi_q"] = _phi_q_entry(phi_q_classify(traj))
+                report["phi_q"] = _measured(name, _phi_q_entry(phi_q_classify(traj)))
             else:
-                report["linearity"] = asdict(linearity_fit(traj))
+                report["linearity"] = _measured(name, asdict(linearity_fit(traj)))
         except ValueError as exc:
             # the run left nothing this analysis can measure (a current that
             # stays at zero has no slope): the simulation, not the config, failed
@@ -96,6 +109,7 @@ def run_experiment(config: ExperimentConfig, dt_override: float | None = None):
     if dt_override is not None:
         controls = replace(controls, dt=dt_override)
         config = replace(config, controls=controls, warnings=config.warnings)
+        check_analyses(config.analyses, config.drive, controls)
     model = build_model(config)
     start = time.perf_counter()
     traj = simulate(model, config.drive, controls)
@@ -133,7 +147,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -191,12 +205,12 @@ def _cmd_sweep(args) -> int:
     wall = time.perf_counter() - start
 
     entries = [
-        {
+        _measured("sweep", {
             "frequency": p.frequency,
             "area": p.loop.area,
             "normalized_area": p.loop.normalized_area,
             **_phi_q_entry(p.classification),
-        }
+        })
         for p in points
     ]
 

@@ -153,7 +153,6 @@ class Drive:
 # one-port models
 
 StateFn = Callable[[tuple, float, float], tuple]
-ScalarFn = Callable[[tuple, float, float], float]
 RateFn = Callable[[float, float, float], float]
 ColumnFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
@@ -173,33 +172,15 @@ def scalar_rate(rate: RateFn) -> StateFn:
     return f
 
 
-def from_columns(columns: ColumnFn) -> ScalarFn:
-    """A per-sample fn(x, u, t) -> float from its column form
-    columns(X, U, T), which takes one state per row of X, with its input and
-    time in U and T, and returns one value per row.
-
-    fn evaluates a single row and carries columns as fn.columns, which the
-    recording loop calls once per chunk of samples. numpy's basic float
-    operations round as Python's do, and fn lets them overflow or go invalid
-    silently and raise on a division by zero, as Python's do.
-    """
-
-    @np.errstate(divide="raise", over="ignore", invalid="ignore", under="ignore")
-    def fn(x, u, t):
-        X, U, T = np.array([x], dtype=float), np.array([u], dtype=float), np.array([t], dtype=float)
-        return float(columns(X, U, T)[0])
-
-    fn.columns = columns
-    return fn
-
-
 @dataclass(frozen=True, eq=False)
 class OnePort:
-    """State equation dx/dt = f(x, u, t) with output y = output_fn(x, u, t).
+    """State equation dx/dt = f(x, u, t) with output Y = output_fn(X, U, T).
 
-    memristive() builds the resistive output y = g(x, u, t) * u; a one-port
-    whose output does not factor that way (the capacitor chain) passes its own
-    output_fn. threshold_component/thresholds and
+    output_fn works on columns of samples: it takes one state per row of the
+    2-D array X, with that row's input in U and time in T, and returns one
+    output per row. memristive() builds the resistive output Y = g(X, U, T) * U;
+    a one-port whose output does not factor that way (the capacitor chain)
+    passes its own output_fn. threshold_component/thresholds and
     breakpoint_period/breakpoint_offsets are event metadata for the
     integrator: crossings of a monitored state component and periodic time
     discontinuities where step splitting is required.
@@ -208,7 +189,7 @@ class OnePort:
     input_kind: SignalKind
     state_dim: int
     f: StateFn
-    output_fn: ScalarFn
+    output_fn: ColumnFn
     initial_state: tuple[float, ...]
     name: str = "one-port"
     threshold_component: int | None = None
@@ -224,53 +205,48 @@ class OnePort:
                 f"of model {self.name!r} ({self.state_dim} components)"
             )
 
+    @np.errstate(divide="raise", over="ignore", invalid="ignore", under="ignore")
     def output(self, x, u: float, t: float) -> float:
-        return self.output_fn(x, u, t)
+        """output_fn at one sample, on one-row columns; numpy's float errors
+        behave as Python's: overflow and invalid results pass silently and a
+        division by zero raises. Raises ValueError on a state of the wrong
+        length."""
+        if len(x) != self.state_dim:
+            raise ValueError(
+                f"state has {len(x)} components, model {self.name!r} expects {self.state_dim}"
+            )
+        U = np.array([u], dtype=float)
+        y = self.output_fn(np.array([x], dtype=float), U, np.array([t], dtype=float))
+        return float(np.broadcast_to(y, U.shape)[0])
 
 
 def memristive(
     input_kind: SignalKind,
     state_dim: int,
     f: StateFn,
-    g: ScalarFn,
+    g: ColumnFn,
     initial_state: tuple[float, ...],
     name: str = "one-port",
     **events,
 ) -> OnePort:
-    """A one-port with resistive output y = g(x, u, t) * u; exactly 0 whenever u = 0.
+    """A one-port with resistive output Y = g(X, U, T) * U; exactly 0 wherever U = 0.
 
-    events are OnePort's event fields. The output raises ValueError on a state
-    of the wrong length or a non-finite input or time, and
-    ModelEvaluationError if the output factor is not finite at (x, u, t).
-    A g built by from_columns gives the output a column form too,
-    output_fn.columns(X, U, T), which raises ValueError if any row's input,
-    time or factor is not finite.
+    g takes columns as output_fn does. events are OnePort's event fields.
+    The output raises ModelEvaluationError for the first row whose factor is
+    not finite, with that row's state, input and time.
     """
 
-    def output_fn(x, u: float, t: float) -> float:
-        if len(x) != state_dim:
-            raise ValueError(
-                f"state has {len(x)} components, model {name!r} expects {state_dim}"
-            )
-        if not (math.isfinite(u) and math.isfinite(t)):
-            raise ValueError("input and time must be finite")
-        factor = g(x, u, t)
-        if not math.isfinite(factor):
+    def output_fn(X, U, T):
+        factor = g(X, U, T)
+        bad = ~np.isfinite(factor)
+        if bad.any():
+            k = int(np.argmax(np.broadcast_to(bad, U.shape)))
+            x, u, t = X[k].tolist(), float(U[k]), float(T[k])
             raise ModelEvaluationError(
                 f"model {name!r}: non-finite output factor at t={t!r}", x, u, t
             )
-        return factor * u
+        return factor * U
 
-    factor_columns = getattr(g, "columns", None)
-    if factor_columns is not None:
-
-        def columns(X, U, T):
-            factor = factor_columns(X, U, T)
-            if not (np.isfinite(U).all() and np.isfinite(T).all() and np.isfinite(factor).all()):
-                raise ValueError(f"model {name!r}: non-finite input, time or output factor")
-            return factor * U
-
-        output_fn.columns = columns
     return OnePort(input_kind, state_dim, f, output_fn, initial_state, name, **events)
 
 

@@ -273,7 +273,11 @@ class _Parser:
         drive = self._build_drive(model_kind, *drive_spec)
         params = self._normalize_model(model_kind, model_raw, drive)
         controls = self._build_controls(sim_raw, seen.get("sim"))
-        self._check_analyses(analyses, drive, controls)
+        for analysis, tok in analyses.items():
+            try:
+                check_analyses((analysis,), drive, controls)
+            except ConfigError as exc:
+                self._fail(str(exc), tok)
         if "output" not in seen:
             csv_path = f"{name}.csv"
             json_path = f"{name}.json"
@@ -325,30 +329,6 @@ class _Parser:
                 if tok.text in analyses:
                     self._fail(f"duplicate analysis {tok.text!r}", tok)
             analyses[tok.text] = tok
-
-    def _check_analyses(self, analyses: dict[str, Token], drive: Drive, controls) -> None:
-        """Reject analyses the run could not feed: phi_q and a sweep compare
-        consecutive recorded cycles, linearity fits a slope to a current
-        that a zero-amplitude drive holds at zero, and pinch needs current
-        reversals, which the grid samples of a square wave show only when
-        each level lasts at least one grid step (at full duty, never)."""
-        for name, tok in analyses.items():
-            if name in ("phi_q", "sweep") and controls.record_cycles < 2:
-                self._fail(
-                    f"{name} needs record_cycles >= 2, got {controls.record_cycles}", tok)
-            if name == "linearity" and drive.amplitude == 0.0:
-                self._fail(f"{name} needs a drive amplitude > 0", tok)
-            if (name == "pinch" and isinstance(drive.waveform, SquareWave)
-                    and drive.amplitude > 0.0):
-                try:
-                    n = resolve_step(controls, drive.period)[1]
-                except ConfigError:
-                    continue  # the run reports the step itself
-                duty = drive.waveform.duty
-                if min(duty, 1.0 - duty) * n < 1.0 - 1e-9:
-                    self._fail(f"{name} needs a bipolar drive; at {n} steps a cycle, a square "
-                               f"wave with duty = {duty!r} holds one level for less than a "
-                               "grid step", tok)
 
     def _build_drive(self, model_kind, kind_tok, wave_tok, raw) -> Drive:
         expected = models.MODELS[model_kind].input_kind
@@ -430,6 +410,30 @@ class _Parser:
             if block_tok is not None:
                 self._fail(str(exc), block_tok)
             raise
+
+
+def check_analyses(analyses, drive: Drive, controls: SimControls) -> None:
+    """Raise ConfigError for the first analysis the run could not feed:
+    phi_q and a sweep compare consecutive recorded cycles, linearity fits a
+    slope to a current that a zero-amplitude drive holds at zero, and pinch
+    needs current reversals, which the grid samples of a square wave show
+    only when each level lasts at least one grid step (at full duty, never)."""
+    for name in analyses:
+        if name in ("phi_q", "sweep") and controls.record_cycles < 2:
+            raise ConfigError(f"{name} needs record_cycles >= 2, got {controls.record_cycles}")
+        if name == "linearity" and drive.amplitude == 0.0:
+            raise ConfigError(f"{name} needs a drive amplitude > 0")
+        if name == "pinch" and isinstance(drive.waveform, SquareWave) and drive.amplitude > 0.0:
+            try:
+                n = resolve_step(controls, drive.period)[1]
+            except ConfigError:
+                continue  # the run reports the step itself
+            duty = drive.waveform.duty
+            if min(duty, 1.0 - duty) * n < 1.0 - 1e-9:
+                raise ConfigError(
+                    f"{name} needs a bipolar drive; at {n} steps a cycle, a square wave "
+                    f"with duty = {duty!r} holds one level for less than a grid step"
+                )
 
 
 def parse_experiment(text: str) -> ExperimentConfig:

@@ -446,43 +446,40 @@ class _Record:
 
     def __init__(self, model, rows: int):
         self.model = model
-        self.output_fn = model.output_fn
-        self.columns = getattr(model.output_fn, "columns", None)
         self.t = np.empty(rows)
         self.u = np.empty(rows)
         self.y = np.empty(rows)
         self.state = np.empty((rows, model.state_dim))
 
-    def output(self, x: tuple, u: float, t: float) -> float:
-        """The model's output at (x, u, t); a failure there is a blow-up."""
-        try:
-            return self.output_fn(x, u, t)
-        except (OverflowError, ModelEvaluationError) as exc:
-            raise BlowUpError(f"output not finite at t = {t}: {exc}", t) from None
-
     def put(self, row: int, t: float, x: tuple, u: float) -> None:
-        self.y[row] = self.output(x, u, t)
         self.t[row] = t
         self.u[row] = u
         self.state[row] = x
+        self.fill(slice(row, row + 1))
 
     def fill(self, rows: slice) -> None:
-        """y over rows from the t, u and state stored there: one call to
-        output_fn.columns, or one output call a row when output_fn has no
-        column form or the column call fails, so that a failure is raised at
-        the first row that fails, as output raises it."""
+        """y over rows from the t, u and state stored there, with one call to
+        the model's output_fn. If that call fails or gives a y that is not
+        finite, the rows are taken one by one, and the first that fails or
+        is not finite is a blow-up at its time."""
         X, U, T = self.state[rows], self.u[rows], self.t[rows]
-        if self.columns is not None:
-            try:
-                with np.errstate(all="raise", under="ignore"):
-                    self.y[rows] = self.columns(X, U, T)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                self.y[rows] = self.model.output_fn(X, U, T)
+            if np.isfinite(self.y[rows]).all():
                 return
-            except (ArithmeticError, ValueError, MemlabError):
-                pass
-        output = self.output
-        self.y[rows] = [
-            output(tuple(x), u, t) for x, u, t in zip(X.tolist(), U.tolist(), T.tolist())
-        ]
+        except (ArithmeticError, MemlabError):
+            pass
+        output = self.model.output
+        ys = []
+        for x, u, t in zip(X.tolist(), U.tolist(), T.tolist()):
+            try:
+                ys.append(output(x, u, t))
+            except (OverflowError, ModelEvaluationError) as exc:
+                raise BlowUpError(f"output not finite at t = {t}: {exc}", t) from None
+            if not math.isfinite(ys[-1]):
+                raise BlowUpError(f"output not finite at t = {t}: y = {ys[-1]}", t)
+        self.y[rows] = ys
 
     def trajectory(self, dt: float, n: int) -> Trajectory:
         v, i = terminal_pair(self.model.input_kind, self.u, self.y)

@@ -149,7 +149,7 @@ def test_generic_one_port_output():
         input_kind=SignalKind.CURRENT,
         state_dim=2,
         f=lambda x, u, t: (0.0, 0.0),
-        output_fn=lambda x, u, t: x[0] + 2.0 * u,
+        output_fn=lambda X, U, T: X[:, 0] + 2.0 * U,
         initial_state=(1.0, 0.0),
         name="affine",
     )

@@ -27,7 +27,6 @@ from memlab.core import (
     OnePort,
     Trajectory,
     accumulate_integrals,
-    from_columns,
     scalar_rate,
     terminal_pair,
 )
@@ -273,22 +272,22 @@ def test_stiff_step_instability_is_a_blow_up():
 
 
 # ---------------------------------------------------------------------------
-# recorded outputs: one column call a chunk, a replaced output_fn once a row
+# recorded outputs: one output_fn call a chunk
 
 
-def test_a_replaced_output_fn_is_recorded_once_per_row():
+def test_a_replaced_output_fn_is_recorded_once_per_chunk():
     m = thermistor()
     d = Drive(SignalKind.CURRENT, Sinusoid(amplitude=5e-4, frequency=0.01))
     c = SimControls(transient_cycles=1, record_cycles=1)  # 2,001 rows, two chunks
     calls = []
 
-    def counted(x, u, t):
-        calls.append(t)
-        return m.output_fn(x, u, t)
+    def counted(X, U, T):
+        calls.append(T.tolist())
+        return m.output_fn(X, U, T)
 
-    assert hasattr(m.output_fn, "columns") and not hasattr(counted, "columns")
     got = simulate(dataclasses.replace(m, output_fn=counted), d, c)
-    assert calls == got.t.tolist()
+    assert [len(ts) for ts in calls] == [1, CHUNK, 2000 - CHUNK]
+    assert sum(calls, []) == got.t.tolist()
     assert got.y.tobytes() == simulate(m, d, c).y.tobytes()
     offset = simulate(dataclasses.replace(m, output_fn=lambda x, u, t: t + 1.0), d, c)
     assert np.array_equal(offset.y, offset.t + 1.0)
@@ -324,7 +323,7 @@ def _growing(t_bad):
         SignalKind.CURRENT,
         1,
         scalar_rate(lambda x0, u, t: x0 * x0),
-        g=from_columns(lambda X, U, T: np.where(T < t_bad, 1.0, np.inf)),
+        g=lambda X, U, T: np.where(T < t_bad, 1.0, np.inf),
         initial_state=(1.0,),
         name="growing",
     )
@@ -361,6 +360,29 @@ def test_the_earliest_failure_in_a_chunk_is_raised(model, first):
     with pytest.raises(BlowUpError) as exc:
         simulate(model, d, c)
     assert (str(exc.value), exc.value.time) == expected
+
+
+def test_an_output_that_overflows_is_a_blow_up_at_its_first_sample():
+    # the chain drop (n - closed) * r_branch * u overflows once 10 * 1.7e307 *
+    # |u| passes the float range; the state does not depend on r_branch, so a
+    # run at r_branch = 1 gives the samples the overflowing output is taken at
+    def chain(r_branch):
+        base = SwitchedNetworkParams(q0=Q0, r1=3.0, r_branch=r_branch, n_switches=10)
+        return capacitor_circuit(CapacitorCircuitParams(base, cap=0.1))
+
+    d = Drive(SignalKind.CURRENT, Sinusoid(amplitude=10.0, frequency=0.1))
+    c = SimControls(transient_cycles=0, record_cycles=1)
+    finite = simulate(chain(1.0), d, c)
+    rows = zip(finite.t.tolist(), finite.state.tolist(), finite.u.tolist())
+    # y written out per sample with Python floats, as in test_models
+    ys = [(t, v_c + (10 - min(max(math.floor(q / Q0), 0), 10)) * 1.7e307 * u)
+          for t, (v_c, q), u in rows]
+    t_bad, y_bad = next((t, y) for t, y in ys if not math.isfinite(y))
+    assert t_bad == pytest.approx(0.17)
+    with pytest.raises(BlowUpError) as exc:
+        simulate(chain(1.7e307), d, c)
+    assert str(exc.value) == f"output not finite at t = {t_bad}: y = {y_bad}"
+    assert exc.value.time == t_bad
 
 
 def test_switch_events_land_within_a_step_of_the_exact_time():
@@ -476,7 +498,7 @@ _ORACLE_CASES = {
             SignalKind.CURRENT,
             1,
             lambda x, u, t: (2.0 * (u * u - x[0]),),
-            g=lambda x, u, t: 1.0 + x[0] * x[0],
+            g=lambda X, U, T: 1.0 + X[:, 0] * X[:, 0],
             initial_state=(0.5,),
             name="tuple f",
         ),
@@ -673,7 +695,7 @@ _TWO_STATE = OnePort(
     SignalKind.CURRENT,
     2,
     lambda x, u, t: (u * math.cos(t) - x[1], x[0] * math.sin(t)),
-    lambda x, u, t: x[0] + u,
+    lambda X, U, T: X[:, 0] + U,
     (0.0, 0.0),
     name="two-state",
 )

@@ -400,7 +400,6 @@ def _recorded_y(model, rows):
     rec.state[1:] = [x for x, _, _ in rows]
     rec.u[1:] = [u for _, u, _ in rows]
     rec.t[1:] = [t for _, _, t in rows]
-    rec.output = None  # finite rows take the column form, not the per-row path
     rec.fill(slice(1, len(rows) + 1))
     return rec.y[1:]
 
