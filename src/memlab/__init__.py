@@ -17,8 +17,6 @@ from .integrate import (
     EventLocalizationError,
     SimControls,
     SimulationError,
-    SteadyStateError,
-    detect_steady_state,
     simulate,
 )
 from .analyze import frequency_sweep, linearity_fit, loop_area, phi_q_classify, pinch_test
@@ -46,11 +44,9 @@ __all__ = [
     "SimulationError",
     "Sinusoid",
     "SquareWave",
-    "SteadyStateError",
     "Trajectory",
     "build_model",
     "builtin_presets",
-    "detect_steady_state",
     "frequency_sweep",
     "linearity_fit",
     "loop_area",

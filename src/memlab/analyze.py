@@ -1,5 +1,5 @@
 """Trajectory analytics: pinch test, loop areas, flux-charge classification,
-linearity fits, frequency sweeps.
+linearity fits, frequency sweeps, and the check that a run can feed them.
 
 The analyses follow IEEE arithmetic: on a run whose values overflow they give
 inf or nan measures, without numpy's overflow or invalid-value warning.
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, Drive, MemlabError, Trajectory
-from .integrate import SimControls, SimulationError, simulate
+from .core import ConfigError, Drive, MemlabError, SquareWave, Trajectory
+from .integrate import SimControls, SimulationError, resolve_step, simulate
 
 
 def _zero_crossings(a: np.ndarray, b: np.ndarray) -> list[tuple[int, float, float]]:
@@ -311,6 +311,34 @@ def linearity_fit(traj: Trajectory) -> LinearityFit:
 
 
 # ---------------------------------------------------------------------------
+# analyses a run can feed
+
+
+def check_analyses(analyses, drive: Drive, controls: SimControls) -> None:
+    """Raise ConfigError for the first analysis the run could not feed:
+    phi_q and a sweep compare consecutive recorded cycles, linearity fits a
+    slope to a current that a zero-amplitude drive holds at zero, and pinch
+    needs current reversals, which the grid samples of a square wave show
+    only when each level lasts at least one grid step (at full duty, never)."""
+    for name in analyses:
+        if name in ("phi_q", "sweep") and controls.record_cycles < 2:
+            raise ConfigError(f"{name} needs record_cycles >= 2, got {controls.record_cycles}")
+        if name == "linearity" and drive.amplitude == 0.0:
+            raise ConfigError(f"{name} needs a drive amplitude > 0")
+        if name == "pinch" and isinstance(drive.waveform, SquareWave) and drive.amplitude > 0.0:
+            try:
+                n = resolve_step(controls, drive.period)[1]
+            except ConfigError:
+                continue  # the run reports the step itself
+            duty = drive.waveform.duty
+            if min(duty, 1.0 - duty) * n < 1.0 - 1e-9:
+                raise ConfigError(
+                    f"{name} needs a bipolar drive; at {n} steps a cycle, a square wave "
+                    f"with duty = {duty!r} holds one level for less than a grid step"
+                )
+
+
+# ---------------------------------------------------------------------------
 # frequency sweep
 
 
@@ -335,6 +363,7 @@ def frequency_sweep(model, drive: Drive, frequencies, controls: SimControls) -> 
         raise ConfigError("sweep frequencies must be > 0")
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
         raise ConfigError("sweep frequencies must be strictly increasing")
+    check_analyses(("sweep",), drive, controls)
 
     points = []
     for f in freqs:

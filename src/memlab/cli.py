@@ -22,6 +22,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .analyze import (
+    check_analyses,
     linearity_fit,
     loop_area,
     phi_q_classify,
@@ -30,11 +31,11 @@ from .analyze import (
     sweep_monotonicity,
 )
 from .core import ConfigError, Sinusoid, Trajectory
-from .expdsl import ExperimentConfig, build_model, check_analyses, parse_experiment
+from .expdsl import ExperimentConfig, build_model, parse_experiment
 from .expdsl import preset_names, preset_source
 from .integrate import SimulationError, simulate
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _report_header(config: ExperimentConfig) -> dict:

@@ -28,7 +28,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
 from .core import ConfigError, Drive, SignalKind, Sinusoid, SquareWave
-from .integrate import SimControls, resolve_step
+from .analyze import check_analyses
+from .integrate import SimControls
 from . import models
 
 _UNIT_SCALE = {
@@ -410,30 +411,6 @@ class _Parser:
             if block_tok is not None:
                 self._fail(str(exc), block_tok)
             raise
-
-
-def check_analyses(analyses, drive: Drive, controls: SimControls) -> None:
-    """Raise ConfigError for the first analysis the run could not feed:
-    phi_q and a sweep compare consecutive recorded cycles, linearity fits a
-    slope to a current that a zero-amplitude drive holds at zero, and pinch
-    needs current reversals, which the grid samples of a square wave show
-    only when each level lasts at least one grid step (at full duty, never)."""
-    for name in analyses:
-        if name in ("phi_q", "sweep") and controls.record_cycles < 2:
-            raise ConfigError(f"{name} needs record_cycles >= 2, got {controls.record_cycles}")
-        if name == "linearity" and drive.amplitude == 0.0:
-            raise ConfigError(f"{name} needs a drive amplitude > 0")
-        if name == "pinch" and isinstance(drive.waveform, SquareWave) and drive.amplitude > 0.0:
-            try:
-                n = resolve_step(controls, drive.period)[1]
-            except ConfigError:
-                continue  # the run reports the step itself
-            duty = drive.waveform.duty
-            if min(duty, 1.0 - duty) * n < 1.0 - 1e-9:
-                raise ConfigError(
-                    f"{name} needs a bipolar drive; at {n} steps a cycle, a square wave "
-                    f"with duty = {duty!r} holds one level for less than a grid step"
-                )
 
 
 def parse_experiment(text: str) -> ExperimentConfig:

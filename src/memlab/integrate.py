@@ -46,12 +46,6 @@ class BlowUpError(SimulationError):
         self.time = time
 
 
-class SteadyStateError(SimulationError):
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class EventLocalizationError(SimulationError):
     pass
 
@@ -62,15 +56,14 @@ class SimControls:
 
     dt=None picks period/2000. The step is always adjusted downward so that an
     even number of steps divides the drive period exactly; dt must not exceed
-    period/200. event_tolerance (seconds, default dt/1000) bounds how precisely
-    threshold crossings are localized.
+    period/200. event_tolerance (seconds, default dt/1000, at least ulp(dt)
+    and below dt) bounds how precisely threshold crossings are localized.
     """
 
     dt: float | None = None
     transient_cycles: int = 2
     record_cycles: int = 2
     event_tolerance: float | None = None
-    steady_state_rel_tol: float = 1e-6
 
     def __post_init__(self):
         check_finite(self)
@@ -82,8 +75,6 @@ class SimControls:
             raise ConfigError("record_cycles must be >= 1")
         if self.event_tolerance is not None and self.event_tolerance <= 0.0:
             raise ConfigError("event_tolerance must be > 0")
-        if self.steady_state_rel_tol <= 0.0:
-            raise ConfigError("steady_state_rel_tol must be > 0")
 
 
 def resolve_step(controls: SimControls, period: float) -> tuple[float, int]:
@@ -114,6 +105,12 @@ def _resolve_event_tol(controls: SimControls, dt: float) -> float:
         return dt * 1e-3
     if controls.event_tolerance >= dt:
         raise ConfigError("event_tolerance must be smaller than dt")
+    # bisection offsets lie in [0, dt], so no bracket gets narrower than ulp(dt)
+    if controls.event_tolerance < math.ulp(dt):
+        raise ConfigError(
+            f"event_tolerance = {controls.event_tolerance!r} is below the float spacing "
+            f"ulp(dt) = {math.ulp(dt)!r} at dt = {dt!r}; bisection cannot reach it"
+        )
     return controls.event_tolerance
 
 
@@ -229,7 +226,7 @@ def _tuple_rk4(f):
 
 
 class _Engine:
-    """Shared stepping machinery for simulate and detect_steady_state."""
+    """The stepping machinery of one simulate run."""
 
     def __init__(self, model, drive: Drive, dt: float, event_tol: float):
         self.model = model
@@ -489,9 +486,14 @@ class _Record:
         return accumulate_integrals(traj)
 
 
-def _start(model, drive: Drive, controls: SimControls, x0, cycles: int):
-    """The engine, the steps per cycle and the initial state of a run of at
-    most the given number of drive cycles."""
+def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
+    """Integrate through the transient and return the recorded cycles.
+
+    The trajectory holds record_cycles full drive periods (first sample on a
+    period boundary, both endpoint samples included) with phi and q zeroed at
+    the first retained sample. Raises BlowUpError if the state leaves the
+    finite range.
+    """
     check_compatible(model, drive)
     dt, n = resolve_step(controls, drive.period)
     engine = _Engine(model, drive, dt, _resolve_event_tol(controls, dt))
@@ -500,6 +502,7 @@ def _start(model, drive: Drive, controls: SimControls, x0, cycles: int):
         raise ConfigError(
             f"initial state has {len(x)} components, model expects {model.state_dim}"
         )
+    cycles = controls.transient_cycles + controls.record_cycles
     if cycles * n > MAX_GRID_STEPS:
         raise ConfigError(
             f"the run takes {cycles * n} grid steps, over the budget of {MAX_GRID_STEPS}; "
@@ -515,20 +518,6 @@ def _start(model, drive: Drive, controls: SimControls, x0, cycles: int):
                 f"{splits:.3g} times, over the budget of {MAX_GRID_STEPS}; "
                 "raise the period or run fewer cycles"
             )
-    return engine, n, x
-
-
-def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
-    """Integrate through the transient and return the recorded cycles.
-
-    The trajectory holds record_cycles full drive periods (first sample on a
-    period boundary, both endpoint samples included) with phi and q zeroed at
-    the first retained sample. Raises BlowUpError if the state leaves the
-    finite range.
-    """
-    cycles = controls.transient_cycles + controls.record_cycles
-    engine, n, x = _start(model, drive, controls, x0, cycles)
-    dt = engine.dt
     first_kept = n * controls.transient_cycles
     total_steps = n * cycles
     x = engine.march(x, 0, first_kept)
@@ -537,44 +526,3 @@ def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
     rec.put(0, t0, x, engine.value(t0))
     engine.march(x, first_kept, total_steps, rec)
     return rec.trajectory(dt, n)
-
-
-def _cycle_residual(prev: np.ndarray, cur: np.ndarray) -> float:
-    worst = 0.0
-    for j in range(prev.shape[1]):
-        scale = max(np.max(np.abs(prev[:, j])), np.max(np.abs(cur[:, j])))
-        if scale == 0.0:
-            continue
-        worst = max(worst, np.max(np.abs(cur[:, j] - prev[:, j])) / scale)
-    return float(worst)
-
-
-def detect_steady_state(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
-    """March cycle by cycle until consecutive cycles agree on the state.
-
-    Convergence is judged on the state vector only (not on the integrals):
-    max relative difference between corresponding samples of consecutive
-    cycles below steady_state_rel_tol. Returns the first steady cycle (the
-    earlier cycle of the first matching pair). Gives up with SteadyStateError
-    after max(2, 10 * transient_cycles) cycles.
-    """
-    budget = max(2, 10 * controls.transient_cycles)
-    engine, n, x = _start(model, drive, controls, x0, budget)
-    dt = engine.dt
-    prev: _Record | None = None
-    last_residual = math.inf
-    for c in range(budget):
-        base = c * n
-        rec = _Record(model, n + 1)
-        t0 = base * dt
-        rec.put(0, t0, x, engine.value(t0))
-        x = engine.march(x, base, base + n, rec)
-        if prev is not None:
-            last_residual = _cycle_residual(prev.state, rec.state)
-            if last_residual < controls.steady_state_rel_tol:
-                return prev.trajectory(dt, n)
-        prev = rec
-    raise SteadyStateError(
-        f"no steady state within {budget} cycles; last residual {last_residual:.3e}",
-        last_residual,
-    )

@@ -48,50 +48,6 @@ class ThermistorParams:
                 raise ConfigError(f"thermistor parameter {name} must be > 0")
 
 
-def thermistor_resistance(params: ThermistorParams, temperature: float) -> float:
-    """R(T) = r0 * exp(beta * (1/T - 1/t0)); decreasing in T."""
-    if temperature <= 0.0:
-        raise ValueError("temperature must be > 0 K")
-    return params.r0 * math.exp(params.beta * (1.0 / temperature - 1.0 / params.t0))
-
-
-def thermistor_equilibrium_temperature(
-    params: ThermistorParams,
-    i_dc: float,
-    *,
-    bracket: float = 500.0,
-    residual_tol: float = 1e-12,
-) -> float:
-    """Settled temperature under constant current: delta*(T - t0) = R(T)*i^2.
-
-    Bracketing plus bisection until the power residual is below residual_tol
-    (watts). i_dc = 0 returns t0 exactly.
-    """
-    i_sq = i_dc * i_dc
-    if i_sq == 0.0:
-        return params.t0
-
-    def residual(temp: float) -> float:
-        return params.delta * (temp - params.t0) - thermistor_resistance(params, temp) * i_sq
-
-    lo = params.t0
-    hi = params.t0 + bracket
-    if residual(hi) <= 0.0:
-        raise ConfigError(
-            f"no thermal equilibrium below {hi} K for i = {i_dc} A; widen the bracket"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = residual(mid)
-        if abs(r) < residual_tol:
-            return mid
-        if r > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    raise ConfigError("equilibrium bisection failed to reach the residual tolerance")
-
-
 def thermistor(params: ThermistorParams = ThermistorParams()) -> OnePort:
     """Self-heating thermistor; state is (T,), started at ambient.
 
@@ -301,34 +257,6 @@ def _closed_fn(params: SwitchedNetworkParams) -> Callable[[np.ndarray], np.ndarr
     return closed
 
 
-def _resistance_fn(params: SwitchedNetworkParams) -> Callable[..., np.ndarray]:
-    """The switched chain's g(X, U, T) = r1(T) + (n - closed(X[:, 0])) * r_branch."""
-    r1, closed = _r1_fn(params).columns, _closed_fn(params)
-    n, r_branch = params.n_switches, params.r_branch
-
-    def resistance(X, U, T):
-        return r1(T) + (n - closed(X[:, 0])) * r_branch
-
-    return resistance
-
-
-def r1_of_t(params: SwitchedNetworkParams, t: float) -> float:
-    """Series resistor value at time t (constant or half-period alternating)."""
-    return _r1_fn(params)(t)
-
-
-def closed_switch_count(params: SwitchedNetworkParams, q: float) -> int:
-    """Number of shorting switches closed at charge q."""
-    with np.errstate(over="ignore"):
-        return int(_closed_fn(params)(np.array([q], dtype=float))[0])
-
-
-def switched_resistance(params: SwitchedNetworkParams, q: float, t: float) -> float:
-    """Total series resistance r1(t) + (n - closed(q)) * r_branch."""
-    with np.errstate(over="ignore"):
-        return float(_resistance_fn(params)(np.array([[q]]), None, np.array([t]))[0])
-
-
 def switch_thresholds(params: SwitchedNetworkParams) -> tuple[float, ...]:
     """Charges i*q0 at which switch i toggles, i = 1..n."""
     return tuple(i * params.q0 for i in range(1, params.n_switches + 1))
@@ -342,17 +270,23 @@ def _r1_breakpoints(params: SwitchedNetworkParams) -> tuple[float | None, tuple[
 
 
 def switched_network(params: SwitchedNetworkParams) -> OnePort:
-    """Switched chain; state (q,) is the charge through the chain."""
+    """Switched chain; state (q,) is the charge through the chain, and its
+    resistance is r1(t) + (n - closed(q)) * r_branch."""
     bp_period, bp_offsets = _r1_breakpoints(params)
+    r1, closed = _r1_fn(params).columns, _closed_fn(params)
+    n, r_branch = params.n_switches, params.r_branch
 
     def rate(q, u, t):
         return u
+
+    def resistance(X, U, T):
+        return r1(T) + (n - closed(X[:, 0])) * r_branch
 
     return memristive(
         input_kind=MODELS["switched"].input_kind,
         state_dim=1,
         f=scalar_rate(rate),
-        g=_resistance_fn(params),
+        g=resistance,
         initial_state=(0.0,),
         name="switched-network",
         threshold_component=0,

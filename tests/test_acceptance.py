@@ -32,15 +32,10 @@ from memlab import (
 )
 from memlab.analyze import PhiQKind, per_cycle_drifts, phi_spread_at_equal_q, sweep_monotonicity
 from memlab.core import accumulate_integrals
-from memlab.models import (
-    SwitchedNetworkParams,
-    ThermistorParams,
-    closed_switch_count,
-    thermistor,
-    thermistor_equilibrium_temperature,
-    thermistor_resistance,
-)
+from memlab.models import ThermistorParams, thermistor
 from memlab.cli import main
+
+from oracles import closed_switch_count, thermistor_equilibrium_temperature, thermistor_resistance
 
 # frozen references, computed independently at high precision
 T_EQ_1MA = 326.7765892717289  # bisection on delta*(T - T0) = R(T)*i^2, i = 1 mA
@@ -172,8 +167,8 @@ def test_criterion_06_switched_network_loop_geometry(presets, sims):
     assert q_span == pytest.approx(Q_SPAN_SLOW, rel=1e-3)
     assert q_span == pytest.approx(11 * q0, rel=1e-3)
 
-    params = SwitchedNetworkParams(q0=q0)
-    ks = np.array([closed_switch_count(params, qq) for qq in cyc.q])
+    n = cfg.model_params["n_switches"]
+    ks = np.array([closed_switch_count(qq, q0, n) for qq in cyc.q])
     jumps = np.diff(ks)
     closings = int(np.sum(jumps[jumps > 0]))
     openings = int(-np.sum(jumps[jumps < 0]))

@@ -18,6 +18,7 @@ from memlab import (
     phi_q_classify,
     pinch_test,
 )
+from memlab import analyze
 from memlab.analyze import (
     LoopArea,
     PhiQKind,
@@ -225,6 +226,17 @@ def test_sweep_validates_frequencies():
         frequency_sweep(m, d, [0.2, 0.1], c)
     with pytest.raises(ConfigError):
         frequency_sweep(m, d, [-0.1, 0.2], c)
+
+
+def test_a_sweep_over_one_recorded_cycle_is_refused_before_it_runs(monkeypatch):
+    # each point's phi_q compares consecutive recorded cycles
+    calls = []
+    monkeypatch.setattr(analyze, "simulate", lambda *args: calls.append(args))
+    m = switched_network(SwitchedNetworkParams(q0=0.29))
+    d = Drive(SignalKind.CURRENT, Sinusoid(amplitude=1.0, frequency=0.1))
+    with pytest.raises(ConfigError, match="sweep needs record_cycles >= 2, got 1"):
+        frequency_sweep(m, d, [0.1, 0.2], SimControls(transient_cycles=0, record_cycles=1))
+    assert calls == []
 
 
 def test_sweep_runs_each_frequency():

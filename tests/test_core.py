@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import memlab
 from memlab import (
     ConfigError,
     Drive,
@@ -203,3 +206,9 @@ def test_trajectory_window_plain_slice():
     w = traj.window(10, 20)
     assert len(w) == 10
     assert w.t[0] == traj.t[10]
+
+
+def test_the_package_exports_exactly_what_readme_lists():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("The package exports exactly these names:\n\n", 1)[1].split("\n\n", 1)[0]
+    assert set(memlab.__all__) == set(re.findall(r"`(\w+)`", listed))

@@ -414,6 +414,11 @@ def test_omitted_keys_take_the_parameter_class_defaults():
         ("thermistor { }", "sim { record_cycles = false }", "'record_cycles' must be an integer"),
         ("thermistor { }", "sim { dt = true }", "'dt' must be a number"),
         ("thermistor { }", "sim { max_steps = 3 }", "unknown key 'max_steps'"),
+        (
+            "thermistor { }",
+            "sim { steady_state_rel_tol = 0.5 }",
+            "line 4, col 7: unknown key 'steady_state_rel_tol' for the sim block",
+        ),
     ],
 )
 def test_values_are_checked_against_the_field_types(model, sim, needle):
