@@ -332,7 +332,9 @@ def accumulate_integrals(traj: Trajectory) -> Trajectory:
     if len(traj) < 2:
         raise ValueError("need at least two samples to integrate")
     steps = np.diff(traj.t)
-    if np.max(np.abs(steps - traj.dt)) > 1e-9 * traj.dt:
+    # a recorded t = k*dt rounds to its float spacing, which outgrows 1e-9*dt past k ~ 4.5e6
+    bound = 1e-9 * traj.dt + np.spacing(np.abs(traj.t).max())
+    if np.max(np.abs(steps - traj.dt)) > bound:
         raise ValueError("non-uniform timestamps; trajectory grid must be uniform")
     return replace(traj, phi=_cumtrapz(traj.v, traj.dt), q=_cumtrapz(traj.i, traj.dt))
 

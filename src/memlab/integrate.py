@@ -35,6 +35,10 @@ MAX_GRID_STEPS = 20_000_000
 # and stores each column of it with one slice assignment
 CHUNK = 1024
 
+# bisections of one threshold crossing: each halves a bracket no wider than
+# dt, so more than this means event_tol is below the float spacing there
+MAX_BISECT = 64
+
 
 class SimulationError(MemlabError):
     """Runtime failure while integrating (as opposed to a bad configuration)."""
@@ -121,69 +125,6 @@ def check_compatible(model, drive: Drive) -> None:
             f"model {model.name!r} is {model.input_kind.value}-controlled "
             f"but the drive imposes a {drive.kind.value}"
         )
-
-
-def locate_events(
-    step,
-    x0: tuple,
-    t0: float,
-    h: float,
-    *,
-    monitor: int | None = None,
-    thresholds=(),
-    time_breaks=(),
-    event_tol: float,
-    max_bisect: int = 64,
-    trial: tuple | None = None,
-):
-    """Advance x over [t0, t0+h], splitting at events; returns [(t, x), ...].
-
-    step(x, a, b) must integrate the smooth dynamics over [a, b]. time_breaks
-    are known discontinuity times strictly inside the interval (split exactly).
-    thresholds are sorted ascending: a step crosses one when the count of
-    thresholds at or below the monitored state component changes, and the
-    crossing is bisected on the step size until the bracket is below
-    event_tol, the step landing on the crossed side. trial, when given, is
-    step(x0, t0, t0 + h) already taken; it stands for the first step of an
-    interval without time_breaks.
-    """
-    watched = monitor is not None and len(thresholds) > 0
-    bounds = [t0, *time_breaks, t0 + h]
-    out: list[tuple[float, tuple]] = []
-    x = x0
-    for j in range(len(bounds) - 1):
-        a, b = bounds[j], bounds[j + 1]
-        while b - a > 0.0:
-            x1 = step(x, a, b) if trial is None else trial
-            trial = None
-            if not watched or (side := bisect_right(thresholds, x[monitor])) == bisect_right(
-                thresholds, x1[monitor]
-            ):
-                out.append((b, x1))
-                x = x1
-                break
-            lo, hi = 0.0, b - a
-            x_hi = x1
-            iters = 0
-            while hi - lo > event_tol:
-                iters += 1
-                if iters > max_bisect:
-                    raise EventLocalizationError(
-                        f"threshold crossing near t = {a} not localized in {max_bisect} bisections"
-                    )
-                mid = 0.5 * (lo + hi)
-                probe = step(x, a, a + mid)
-                if bisect_right(thresholds, probe[monitor]) != side:
-                    hi = mid
-                    x_hi = probe
-                else:
-                    lo = mid
-            x = x_hi
-            a = a + hi
-            out.append((a, x))
-    if not out:
-        out.append((t0 + h, x0))
-    return out
 
 
 def _scalar_rk4(rate):
@@ -289,38 +230,68 @@ class _Engine:
                 merged.append(tb)
         return merged
 
-    def step(self, x: tuple, a: float, b: float) -> tuple:
+    def step(self, x: tuple, a: float, b: float, at_a: bool = False, at_b: bool = False) -> tuple:
         # One classical RK4 step over a smooth sub-interval. A stage at an end
-        # that lies on a break is evaluated a hair inside the interval so
-        # piecewise coefficients resolve on this sub-step's side.
+        # that is a break (at_a, at_b) is taken 1e-9 of the step inside, and at
+        # least 1e-15 of t, past the rounding by which a waveform's own switch
+        # can miss the break time: it resolves on this sub-step's side.
         h = b - a
-        ta, tb = a, b
-        ends = self.breaks(a, b) if self.specs else ()
-        if ends:
-            nudge = 1e-9 * h
-            if ends[0] == a:
-                ta = a + nudge
-            if ends[-1] == b:
-                tb = b - nudge
+        ta = a + max(1e-9 * h, 1e-15 * abs(a)) if at_a else a
+        tb = b - max(1e-9 * h, 1e-15 * abs(b)) if at_b else b
         tm = a + 0.5 * h
         value = self.value
         return self.rk4(x, value(ta), value(tm), value(tb), ta, tm, tb, h)
 
-    def grid_step(self, x: tuple, t0: float, t1: float, trial: tuple | None = None) -> tuple:
-        """x after the grid interval [t0, t1]; trial, when given, is
-        step(x, t0, t1) already taken over an interval without breaks."""
-        subs = locate_events(
-            self.step,
-            x,
-            t0,
-            t1 - t0,
-            monitor=self.model.threshold_component,
-            thresholds=self.sorted_thresholds,
-            time_breaks=[tb for tb in self.breaks(t0, t1) if t0 < tb < t1],
-            event_tol=self.event_tol,
-            trial=trial,
-        )
-        return subs[-1][1]
+    def grid_step(self, x: tuple, t0: float, t1: float, trial: tuple | None = None) -> list:
+        """Advance x over the grid interval [t0, t1], split at events; returns
+        the sub-step ends [(t, x), ...], the last at t1.
+
+        The breaks strictly inside are split exactly. A step crosses a
+        threshold when the count of thresholds at or below the monitored
+        state component changes, and the crossing is bisected on the step
+        size until the bracket is below event_tol, the step landing on the
+        crossed side. trial, when given, is step(x, t0, t1) already taken
+        over an interval without breaks.
+        """
+        ends = self.breaks(t0, t1)
+        bounds = [t0, *[tb for tb in ends if t0 < tb < t1], t1]
+        thresholds = self.sorted_thresholds
+        monitor = self.model.threshold_component
+        step = self.step
+        out: list[tuple[float, tuple]] = []
+        for a, b in zip(bounds, bounds[1:]):
+            # a bound is a break when breaks returned it; the start of the
+            # sub-step after a crossing and the far end of a probe are not
+            at_a, at_b = a in ends, b in ends
+            while b - a > 0.0:
+                x1 = step(x, a, b, at_a, at_b) if trial is None else trial
+                trial = None
+                if not thresholds or (side := bisect_right(thresholds, x[monitor])) == bisect_right(
+                    thresholds, x1[monitor]
+                ):
+                    out.append((b, x1))
+                    x = x1
+                    break
+                lo, hi, x_hi = 0.0, b - a, x1
+                iters = 0
+                while hi - lo > self.event_tol:
+                    iters += 1
+                    if iters > MAX_BISECT:
+                        raise EventLocalizationError(
+                            f"threshold crossing near t = {a} not localized in {MAX_BISECT} bisections"
+                        )
+                    mid = 0.5 * (lo + hi)
+                    probe = step(x, a, a + mid, at_a)
+                    if bisect_right(thresholds, probe[monitor]) != side:
+                        hi = mid
+                        x_hi = probe
+                    else:
+                        lo = mid
+                x = x_hi
+                a = a + hi
+                at_a = False
+                out.append((a, x))
+        return out
 
     def march(self, x: tuple, k0: int, k1: int, rec: _Record | None = None) -> tuple:
         """Step x across grid intervals k0..k1-1 and return the final state.
@@ -330,17 +301,16 @@ class _Engine:
         """
         # grid_step, inlined where the interval provably has no event: in the
         # window that ends short of the next break (at hi), breaks(a, t1) is
-        # empty, so step takes its stages at the interval ends without a nudge
-        # and locate_events makes one step over [a, a + (t1 - a)], and a trial
-        # between the same two thresholds as x crosses none of them.
-        # a + (t1 - a) is t1 exactly (Sterbenz), so the same operations run in
-        # the same order on the state and the samples are bit-identical to
-        # grid_step's; the last stage's input is the input at t1, recorded and
-        # reused as the next step's first. A trial that crosses a threshold is
-        # handed to grid_step as its first step. Every other interval, the
-        # first one included, goes to grid_step. A one-state model carries its
-        # state as a float and steps it inline on its float derivative; a
-        # larger state goes through the tuple kernel.
+        # empty, so grid_step makes one step over [a, t1] with its stages at
+        # the interval ends, and a trial between the same two thresholds as x
+        # crosses none of them. The same operations run in the same order on
+        # the state, so the samples are bit-identical to grid_step's; the last
+        # stage's input is the input at t1, recorded and reused as the next
+        # step's first. A trial that crosses a threshold is handed to
+        # grid_step as its first step. Every other interval, the first one
+        # included, goes to grid_step. A one-state model carries its state as
+        # a float and steps it inline on its float derivative; a larger state
+        # goes through the tuple kernel.
         dt = self.dt
         value = self.value
         grid_step = self.grid_step
@@ -397,14 +367,15 @@ class _Engine:
                             thresholds, x1 if scalar else x1[monitor]
                         ) != side:
                             if scalar:
-                                x = grid_step((x,), a, t1, (x1,))[0]
+                                x = grid_step((x,), a, t1, (x1,))[-1][1][0]
                             else:
-                                x = grid_step(x, a, t1, x1)
+                                x = grid_step(x, a, t1, x1)[-1][1]
                             side = bisect_right(thresholds, x if scalar else x[monitor])
                         else:
                             x = x1
                     else:
-                        x = grid_step((x,), a, t1)[0] if scalar else grid_step(x, a, t1)
+                        x = grid_step((x,) if scalar else x, a, t1)[-1][1]
+                        x = x[0] if scalar else x
                         u4 = value(t1)
                         hi = math.inf
                         if specs:

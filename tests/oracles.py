@@ -49,3 +49,19 @@ def r1_of_t(t, high, low, period):
     (period/2, period), repeating in both directions of t."""
     s = t % period
     return high if s <= 0.5 * period else low
+
+
+def switch_times(amplitude, frequency, q0, n):
+    """The times in the first period at which the switched chain's charge
+    crosses k*q0, k = 1..n, under i = A*sin(wt) from q = 0, sorted. The
+    charge is q(t) = (A/w)(1 - cos wt), so k*q0 is reached rising at
+    acos(1 - k*q0*w/A)/w and falling at (2*pi - acos(1 - k*q0*w/A))/w; a
+    threshold above the peak charge 2A/w is never crossed."""
+    w = 2.0 * math.pi * frequency
+    times = []
+    for k in range(1, n + 1):
+        c = 1.0 - k * q0 * w / amplitude
+        if c > -1.0:
+            rising = math.acos(c)
+            times += [rising / w, (2.0 * math.pi - rising) / w]
+    return sorted(times)

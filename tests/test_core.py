@@ -188,6 +188,23 @@ def test_accumulate_integrals_rejects_nonuniform_grid():
         accumulate_integrals(traj)
 
 
+@pytest.mark.parametrize("dt", [1e-3, 0.25e-3, 1 / 3, 7.0013, 5e-5])
+def test_accumulate_integrals_takes_a_long_run_grid(dt):
+    # t = k*dt rounds by up to half its spacing, ~k * 1.1e-16 of dt: near the
+    # 2e7-step budget that is over 1e-9 of dt, and the grid is still uniform
+    k0 = 1.9e7
+    t = np.arange(k0, k0 + 4001) * dt
+    u = np.sin(t)
+    traj = Trajectory(
+        dt=dt, t=t, u=u, y=u, v=u, i=u, state=np.zeros((len(t), 1)), steps_per_cycle=2000
+    )
+    assert len(accumulate_integrals(traj).q) == 4001
+    bent = t.copy()
+    bent[2000] += 1e-6 * dt
+    with pytest.raises(ValueError, match="non-uniform"):
+        accumulate_integrals(dataclasses.replace(traj, t=bent))
+
+
 def test_trajectory_cycle_slicing():
     traj = accumulate_integrals(_toy_traj(n=100, cycles=3))
     assert traj.n_cycles == 3
