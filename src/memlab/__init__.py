@@ -4,7 +4,6 @@ from .core import (
     ConfigError,
     Drive,
     MemlabError,
-    ModelEvaluationError,
     OnePort,
     SignalKind,
     Sinusoid,
@@ -36,7 +35,6 @@ __all__ = [
     "Drive",
     "EventLocalizationError",
     "MemlabError",
-    "ModelEvaluationError",
     "OnePort",
     "ParseError",
     "SignalKind",

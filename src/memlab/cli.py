@@ -173,7 +173,10 @@ def _load_config(args) -> ExperimentConfig:
     if args.preset:
         text = preset_source(args.preset)
     elif args.file:
-        text = Path(args.file).read_text()
+        try:
+            text = Path(args.file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.file} is not UTF-8 text: {exc}") from None
     else:
         raise ConfigError("need an experiment file or --preset NAME")
     config = parse_experiment(text)

@@ -23,16 +23,6 @@ class ConfigError(MemlabError):
     """Invalid experiment configuration: bad parameters, kind mismatch, bad dt."""
 
 
-class ModelEvaluationError(MemlabError):
-    """A model produced a non-finite output factor at some evaluation point."""
-
-    def __init__(self, message: str, state, u: float, t: float):
-        super().__init__(message)
-        self.state = tuple(state)
-        self.u = u
-        self.t = t
-
-
 class SignalKind(enum.Enum):
     """Terminal quantity a source imposes or a model takes as input."""
 
@@ -205,20 +195,6 @@ class OnePort:
                 f"of model {self.name!r} ({self.state_dim} components)"
             )
 
-    @np.errstate(divide="raise", over="ignore", invalid="ignore", under="ignore")
-    def output(self, x, u: float, t: float) -> float:
-        """output_fn at one sample, on one-row columns; numpy's float errors
-        behave as Python's: overflow and invalid results pass silently and a
-        division by zero raises. Raises ValueError on a state of the wrong
-        length."""
-        if len(x) != self.state_dim:
-            raise ValueError(
-                f"state has {len(x)} components, model {self.name!r} expects {self.state_dim}"
-            )
-        U = np.array([u], dtype=float)
-        y = self.output_fn(np.array([x], dtype=float), U, np.array([t], dtype=float))
-        return float(np.broadcast_to(y, U.shape)[0])
-
 
 def memristive(
     input_kind: SignalKind,
@@ -229,23 +205,16 @@ def memristive(
     name: str = "one-port",
     **events,
 ) -> OnePort:
-    """A one-port with resistive output Y = g(X, U, T) * U; exactly 0 wherever U = 0.
+    """A one-port with resistive output Y = g(X, U, T) * U; exactly 0 wherever
+    U = 0 and g is finite.
 
-    g takes columns as output_fn does. events are OnePort's event fields.
-    The output raises ModelEvaluationError for the first row whose factor is
-    not finite, with that row's state, input and time.
+    g takes columns as output_fn does. events are OnePort's event fields. A
+    factor that is not finite gives a y that is not finite (inf * 0 is nan),
+    which the recording raises as a blow-up at that row's time.
     """
 
     def output_fn(X, U, T):
-        factor = g(X, U, T)
-        bad = ~np.isfinite(factor)
-        if bad.any():
-            k = int(np.argmax(np.broadcast_to(bad, U.shape)))
-            x, u, t = X[k].tolist(), float(U[k]), float(T[k])
-            raise ModelEvaluationError(
-                f"model {name!r}: non-finite output factor at t={t!r}", x, u, t
-            )
-        return factor * U
+        return g(X, U, T) * U
 
     return OnePort(input_kind, state_dim, f, output_fn, initial_state, name, **events)
 

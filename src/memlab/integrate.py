@@ -18,7 +18,6 @@ from .core import (
     ConfigError,
     Drive,
     MemlabError,
-    ModelEvaluationError,
     SignalKind,
     Trajectory,
     accumulate_integrals,
@@ -427,27 +426,26 @@ class _Record:
 
     def fill(self, rows: slice) -> None:
         """y over rows from the t, u and state stored there, with one call to
-        the model's output_fn. If that call fails or gives a y that is not
-        finite, the rows are taken one by one, and the first that fails or
-        is not finite is a blow-up at its time."""
+        the model's output_fn under IEEE arithmetic; the first row whose y is
+        not finite is a blow-up at its time. Only a call that raises (a Python
+        ArithmeticError) is walked, one row at a time on one-row slices, to
+        find the first row that raises or is not finite."""
         X, U, T = self.state[rows], self.u[rows], self.t[rows]
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                self.y[rows] = self.model.output_fn(X, U, T)
-            if np.isfinite(self.y[rows]).all():
-                return
-        except (ArithmeticError, MemlabError):
-            pass
-        output = self.model.output
-        ys = []
-        for x, u, t in zip(X.tolist(), U.tolist(), T.tolist()):
+        y, output_fn = self.y[rows], self.model.output_fn
+        with np.errstate(all="ignore"):
             try:
-                ys.append(output(x, u, t))
-            except (OverflowError, ModelEvaluationError) as exc:
-                raise BlowUpError(f"output not finite at t = {t}: {exc}", t) from None
-            if not math.isfinite(ys[-1]):
-                raise BlowUpError(f"output not finite at t = {t}: y = {ys[-1]}", t)
-        self.y[rows] = ys
+                y[:] = output_fn(X, U, T)
+            except ArithmeticError:
+                for k, t in enumerate(T.tolist()):
+                    try:
+                        y[k : k + 1] = output_fn(X[k : k + 1], U[k : k + 1], T[k : k + 1])
+                    except ArithmeticError as exc:
+                        raise BlowUpError(f"output not finite at t = {t}: {exc}", t) from None
+                    if not math.isfinite(y[k]):
+                        break
+        if not (finite := np.isfinite(y)).all():
+            k = int(np.argmax(~finite))
+            raise BlowUpError(f"output not finite at t = {T[k]}: y = {y[k]}", float(T[k]))
 
     def trajectory(self, dt: float, n: int) -> Trajectory:
         v, i = terminal_pair(self.model.input_kind, self.u, self.y)

@@ -244,15 +244,11 @@ def _r1_fn(params: SwitchedNetworkParams) -> Callable[[float], float]:
 
 def _closed_fn(params: SwitchedNetworkParams) -> Callable[[np.ndarray], np.ndarray]:
     """The closed switch count clamp(floor(q/q0), 0, n) on a column of
-    charges, as floats. A charge whose q/q0 overflows raises OverflowError,
-    as math.floor does."""
+    charges, as floats; a q/q0 that overflows to +-inf clamps to n or 0."""
     q0, n = params.q0, params.n_switches
 
     def closed(Q: np.ndarray) -> np.ndarray:
-        k = np.floor(Q / q0)
-        if not np.isfinite(k).all():
-            raise OverflowError("closed switch count of a charge ratio that is not finite")
-        return np.clip(k, 0, n)
+        return np.clip(np.floor(Q / q0), 0, n)
 
     return closed
 

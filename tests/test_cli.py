@@ -307,6 +307,38 @@ def test_n_switches_over_the_bound_exits_2(tmp_path, capsys):
     assert not (tmp_path / "chain.csv").exists()
 
 
+def test_a_charge_ratio_that_overflows_closes_every_switch(tmp_path, capsys):
+    # q0 = 1e-310 C is finite and positive: q/q0 overflows to inf once q
+    # passes about 0.018 C, and the clamp takes it to n, every switch closed
+    src = tmp_path / "tiny.dsl"
+    src.write_text(
+        "experiment tiny\n"
+        "model switched { q0 = 1e-310 C  r1 = 1.5 Ohm  r_branch = 0.3 Ohm  n_switches = 10 }\n"
+        "drive current sinusoid { amplitude = 1 A  frequency = 0.1 Hz }\n"
+        "sim { transient_cycles = 0  record_cycles = 2 }\n"
+        'output csv "tiny.csv"\n'
+    )
+    assert main(["run", str(src), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "tiny.csv", newline="") as fh:
+        rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+    assert len(rows) == 4001
+    # clamp(floor(q/q0), 0, n) is n exactly where q/q0 >= n, that is q >= n*q0:
+    # the chain there is r1 alone
+    shorted = [row for row in rows if row["state0"] >= 10 * 1e-310]
+    assert len(shorted) > 3990
+    assert all(row["y"] == 1.5 * row["u"] for row in shorted)
+
+
+def test_a_description_is_read_as_utf8(tmp_path, capsys):
+    src = tmp_path / "quick.dsl"
+    src.write_bytes(FAST_DSL.replace("experiment quick", "experiment quick # café").encode())
+    assert main(["run", str(src), "--out", str(tmp_path)]) == 0
+    latin1 = tmp_path / "latin1.dsl"
+    latin1.write_bytes(b"experiment x\n# caf\xe9\n")
+    assert main(["run", str(latin1), "--out", str(tmp_path)]) == 2
+    assert f"error: {latin1} is not UTF-8 text: " in capsys.readouterr().err
+
+
 def test_sweep_requires_sweep_frequencies(tmp_path, capsys):
     rc = main(["sweep", "--preset", "fig8_9_switched", "--out", str(tmp_path)])
     assert rc == 2

@@ -21,7 +21,6 @@ from memlab import (
 )
 from memlab import integrate
 from memlab.core import (
-    ModelEvaluationError,
     OnePort,
     Trajectory,
     accumulate_integrals,
@@ -46,6 +45,7 @@ from memlab.models import (
 )
 
 from oracles import closed_switch_count, r1_of_t, switch_times
+from test_models import _recorded_y
 
 
 def test_controls_validation():
@@ -268,6 +268,79 @@ def test_output_failure_at_the_first_sample_is_a_blow_up():
     assert exc.value.time == 0.0
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        memristive(SignalKind.CURRENT, 1, lambda x, u, t: (0.0,),
+                   g=lambda X, U, T: 1.0 / X[:, 0], initial_state=(0.0,)),
+        dataclasses.replace(thermistor(), initial_state=(0.0,)),
+    ],
+    ids=["reciprocal-g", "thermistor-at-0-K"],
+)
+@pytest.mark.parametrize(
+    "waveform",
+    [Sinusoid(amplitude=1.0, frequency=1.0), SquareWave(amplitude=1.0, frequency=1.0)],
+    ids=["u=0", "u=1"],
+)
+def test_a_division_by_zero_in_the_output_is_a_blow_up_at_its_sample(model, waveform):
+    # numpy's 1/0 at a zero state is inf, and inf * u is inf, or nan at u = 0:
+    # the first recorded output is not finite, a blow-up at t = 0, not a
+    # FloatingPointError
+    d = Drive(SignalKind.CURRENT, waveform)
+    with pytest.raises(BlowUpError) as exc:
+        simulate(model, d, SimControls(transient_cycles=0, record_cycles=1))
+    assert exc.value.time == 0.0
+
+
+# a drawn output table entry: a float (finite, inf or nan), numpy's 1.0/0.0,
+# or a Python error raised by any call whose rows include it
+_TABLE_ENTRY = (
+    st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, "1/0", ZeroDivisionError, OverflowError])
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    drawn=st.dictionaries(
+        st.sampled_from([0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 2000])
+        | st.integers(0, 2000),
+        _TABLE_ENTRY,
+        max_size=4,
+    )
+)
+# a row that is not finite before a row that raises, in one call
+@example(drawn={2: math.nan, 3: ZeroDivisionError})
+@example(drawn={CHUNK + 1: "1/0", CHUNK + 2: OverflowError})
+def test_the_first_row_whose_output_fails_is_the_blow_up(drawn):
+    # 2,001 rows, recorded in three output calls: row 0, one chunk, the rest
+    d = Drive(SignalKind.CURRENT, Sinusoid(amplitude=1.0, frequency=1.0))
+    c = SimControls(transient_cycles=0, record_cycles=1)
+    dt, n = resolve_step(c, d.period)
+    table = [float(k) for k in range(n + 1)]
+    for k, entry in drawn.items():
+        table[k] = entry
+
+    def output_fn(X, U, T):
+        entries = [table[k] for k in np.rint(T / dt).astype(int).tolist()]
+        for entry in entries:
+            if isinstance(entry, type):
+                raise entry(f"drawn {entry.__name__}")
+        divide = np.array([isinstance(e, str) for e in entries], dtype=bool)
+        y = np.array([0.0 if isinstance(e, str) else e for e in entries])
+        y[divide] = 1.0 / np.zeros(np.count_nonzero(divide))
+        return y
+
+    model = OnePort(SignalKind.CURRENT, 1, scalar_rate(lambda x0, u, t: 0.0), output_fn, (0.0,))
+    bad = [k for k, entry in drawn.items() if not (isinstance(entry, float) and math.isfinite(entry))]
+    if not bad:
+        assert simulate(model, d, c).y.tobytes() == np.array(table).tobytes()
+        return
+    with pytest.raises(BlowUpError) as exc:
+        simulate(model, d, c)
+    assert exc.value.time == min(bad) * dt
+
+
 def test_stiff_step_instability_is_a_blow_up():
     # legal step size (exactly period/200) but far beyond the stability
     # bound of the thermal relaxation rate, so the integration explodes
@@ -302,7 +375,8 @@ def test_a_replaced_output_fn_is_recorded_once_per_chunk():
 def _first_failure(model, drive, controls):
     """(message, time) of the BlowUpError a run without transient raises:
     the state after each grid interval (stepped by grid_step) and the output
-    at each sample, taken in time order."""
+    at each sample, read one row at a time under IEEE arithmetic, taken in
+    time order."""
     dt, n = resolve_step(controls, drive.period)
     engine = _Engine(model, drive, dt, _resolve_event_tol(controls, dt))
     x = tuple(model.initial_state)
@@ -316,9 +390,12 @@ def _first_failure(model, drive, controls):
             if not all(map(math.isfinite, x)):
                 return f"state became non-finite at t = {t}", t
         try:
-            model.output(x, drive.value(t), t)
-        except (OverflowError, ModelEvaluationError) as exc:
+            with np.errstate(all="ignore"):
+                (y,) = model.output_fn(np.array([x]), np.array([drive.value(t)]), np.array([t]))
+        except ArithmeticError as exc:
             return f"output not finite at t = {t}: {exc}", t
+        if not math.isfinite(y):
+            return f"output not finite at t = {t}: y = {y}", t
     pytest.fail("the reference run did not fail")
 
 
@@ -457,7 +534,7 @@ def _capacitor(r1=3.0, q0=Q0, cap=0.1):
 
 def _grid_step_samples(model, drive, controls, k_first, k_last):
     """Samples k_first..k_last of a run stepped by _Engine.grid_step on every
-    grid interval from the initial state, recorded with model.output."""
+    grid interval from the initial state, their outputs recorded as one chunk."""
     dt, n = resolve_step(controls, drive.period)
     engine = _Engine(model, drive, dt, _resolve_event_tol(controls, dt))
     x = tuple(model.initial_state)
@@ -470,7 +547,7 @@ def _grid_step_samples(model, drive, controls, k_first, k_last):
     t = np.array([ti for ti, _ in rows])
     state = np.array([xi for _, xi in rows])
     u = np.array([drive.value(ti) for ti in t])
-    y = np.array([model.output(xi, ui, ti) for (ti, xi), ui in zip(rows, u)])
+    y = _recorded_y(model, [(xi, ui, ti) for (ti, xi), ui in zip(rows, u)])
     v, i = terminal_pair(model.input_kind, u, y)
     traj = Trajectory(dt=dt, t=t, u=u, y=y, v=v, i=i, state=state, steps_per_cycle=n)
     return accumulate_integrals(traj)
