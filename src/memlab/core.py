@@ -57,13 +57,18 @@ class Sinusoid:
 
     def sampler(self) -> Callable[[float], float]:
         """value as a closure; 2*pi*frequency*t evaluates left to right, so
-        binding omega = 2*pi*frequency once leaves every sample unchanged."""
+        binding omega = 2*pi*frequency once leaves every sample unchanged;
+        .columns gives the same samples on a column of times, bit for bit."""
         amplitude, phase, sin = self.amplitude, self.phase, math.sin
         omega = 2.0 * math.pi * self.frequency
 
         def value(t: float) -> float:
             return amplitude * sin(omega * t + phase)
 
+        def columns(T: np.ndarray) -> np.ndarray:
+            return amplitude * np.fromiter(map(sin, (omega * T + phase).tolist()), float, len(T))
+
+        value.columns = columns
         return value
 
     def value(self, t: float) -> float:
@@ -90,15 +95,28 @@ class SquareWave:
         if not 0.0 < self.duty <= 1.0:
             raise ConfigError("square wave duty must be in (0, 1]")
 
-    def value(self, t: float) -> float:
-        period = 1.0 / self.frequency
-        s = math.fmod(t, period)
-        if s < 0.0:
-            s += period
-        return self.amplitude if s < self.duty * period else -self.amplitude
-
     def sampler(self) -> Callable[[float], float]:
-        return self.value
+        """value as a closure; .columns applies the same rule on a column of
+        times, and fmod is exact, so both give the same level at every t."""
+        amplitude, period, fmod = self.amplitude, 1.0 / self.frequency, math.fmod
+        switch = self.duty * period
+
+        def value(t: float) -> float:
+            s = fmod(t, period)
+            if s < 0.0:
+                s += period
+            return amplitude if s < switch else -amplitude
+
+        def columns(T: np.ndarray) -> np.ndarray:
+            s = np.fmod(T, period)
+            s = np.where(s < 0.0, s + period, s)
+            return np.where(s < switch, amplitude, -amplitude)
+
+        value.columns = columns
+        return value
+
+    def value(self, t: float) -> float:
+        return self.sampler()(t)
 
     def breakpoint_offsets(self) -> tuple[float, ...]:
         # level switches at k*T and (k+duty)*T; duty=1 has only period boundaries

@@ -26,12 +26,12 @@ from .core import (
 )
 
 
-# the most grid steps one run may take: about 30 s of stepping at 1.5 us a
-# step, and a record of at most 1 GB
+# the most grid steps one run may take: about 42 s at 2.1 us a one-state step
+# (fig6_7 on a 2-vCPU Xeon, CPython 3.11), and a record of at most 1 GB
 MAX_GRID_STEPS = 20_000_000
 
-# grid intervals per recorded chunk: march gathers a chunk's samples in lists
-# and stores each column of it with one slice assignment
+# grid intervals per chunk: march takes a chunk's grid times and drive samples
+# as columns, and stores each recorded column with one slice assignment
 CHUNK = 1024
 
 # bisections of one threshold crossing: each halves a bracket no wider than
@@ -296,7 +296,8 @@ class _Engine:
         """Step x across grid intervals k0..k1-1 and return the final state.
 
         With rec, the state after interval k is recorded in row k + 1 - k0.
-        Raises BlowUpError when the state overflows or stops being finite.
+        Raises BlowUpError when the state stops being finite or its stepping
+        raises an ArithmeticError.
         """
         # grid_step, inlined where the interval provably has no event: in the
         # window that ends short of the next break (at hi), breaks(a, t1) is
@@ -311,7 +312,7 @@ class _Engine:
         # a float and steps it inline on its float derivative; a larger state
         # goes through the tuple kernel.
         dt = self.dt
-        value = self.value
+        columns = self.value.columns
         grid_step = self.grid_step
         breaks = self.breaks
         specs = self.specs
@@ -337,21 +338,21 @@ class _Engine:
 
         if rec is not None:
             states = rec.state[:, 0] if scalar else rec.state
-            us: list = []
             xs: list = []
         hi = -math.inf
         side = bisect_right(thresholds, x if scalar else x[monitor])
         for c0 in range(k0, k1, CHUNK):
             ce = min(c0 + CHUNK, k1)
+            # the grid times k * dt (k < 2**53 is exact, so each rounds as the
+            # scalar product), the midpoints a + 0.5 * h and the drive at both
+            g = np.arange(c0, ce + 1, dtype=float) * dt
+            A, T1 = g[:-1], g[1:]
+            TM, U4 = A + 0.5 * (T1 - A), columns(T1)
+            grid = zip(A.tolist(), T1.tolist(), TM.tolist(), columns(TM).tolist(), U4.tolist())
             try:
-                for k in range(c0, ce):
-                    a = k * dt
-                    t1 = (k + 1) * dt
+                for a, t1, tm, um, u4 in grid:
                     if t1 <= hi:
                         h = t1 - a
-                        tm = a + 0.5 * h
-                        um = value(tm)
-                        u4 = value(t1)
                         if not scalar:
                             x1 = rk4(x, u1, um, u4, a, tm, t1, h)
                         else:  # the float kernel, inline
@@ -375,7 +376,6 @@ class _Engine:
                     else:
                         x = grid_step((x,) if scalar else x, a, t1)[-1][1]
                         x = x[0] if scalar else x
-                        u4 = value(t1)
                         hi = math.inf
                         if specs:
                             ahead = breaks(t1, t1 + reach)
@@ -385,23 +385,20 @@ class _Engine:
                     if not finite(x):
                         raise BlowUpError(f"state became non-finite at t = {t1}", t1)
                     if rec is not None:
-                        us.append(u4)
                         xs.append(x)
                     u1 = u4
             except OverflowError:
                 raise BlowUpError(f"state overflow at t = {t1}", t1) from None
+            except ArithmeticError as exc:
+                raise BlowUpError(f"state derivative failed at t = {t1}: {exc}", t1) from None
             finally:
                 # the rows stepped so far, also when the stepping raised: an
                 # output failure among them came first, and is raised instead
-                if rec is not None and us:
-                    # (k + 1) * dt for each k of the chunk: k + 1 < 2**53 is
-                    # an exact float, so the product rounds as the loop's t1
-                    e = c0 + len(us)
-                    rows = slice(c0 + 1 - k0, e + 1 - k0)
-                    rec.t[rows] = np.arange(c0 + 1, e + 1, dtype=float) * dt
-                    rec.u[rows] = us
+                if rec is not None and xs:
+                    rows = slice(c0 + 1 - k0, c0 + 1 - k0 + len(xs))
+                    rec.t[rows] = T1[: len(xs)]
+                    rec.u[rows] = U4[: len(xs)]
                     states[rows] = xs
-                    us.clear()
                     xs.clear()
                     rec.fill(rows)
         return (x,) if scalar else x

@@ -49,18 +49,42 @@ def test_waveform_validation():
     Sinusoid(amplitude=0.0, frequency=1.0)
 
 
+def _square_level(amplitude, frequency, duty, t):
+    # the level rule of a square wave written out: the high part of each
+    # period is [0, duty * period) of t reduced into [0, period) by fmod
+    period = 1.0 / frequency
+    s = math.fmod(t, period)
+    if s < 0.0:
+        s += period
+    return amplitude if s < duty * period else -amplitude
+
+
 @given(
     amplitude=st.floats(0.0, 1e6),
     frequency=st.floats(1e-9, 1e6),
     phase=st.floats(-10.0, 10.0),
-    t=st.floats(0.0, 1e9),
+    duty=st.floats(0.0, 1.0, exclude_min=True),
+    times=st.lists(st.floats(0.0, 1e9), max_size=8),
+    cycles=st.lists(st.integers(0, 10**6), max_size=4),
 )
-def test_a_sampler_gives_the_waveform_values_bit_for_bit(amplitude, frequency, phase, t):
+def test_a_sampler_gives_the_waveform_values_bit_for_bit(
+    amplitude, frequency, phase, duty, times, cycles
+):
+    # the scalar sampler against the closed forms, and its .columns against
+    # the scalar sampler, hex for hex: at drawn times, at the square wave's
+    # break times k*period and k*period + duty*period, and one float either
+    # side of each
+    period = 1.0 / frequency
+    breaks = [tb for k in cycles for tb in (k * period, k * period + duty * period)]
+    T = times + breaks + [math.nextafter(tb, to) for tb in breaks for to in (-math.inf, math.inf)]
     sine = Sinusoid(amplitude, frequency, phase).sampler()
-    want = amplitude * math.sin(2.0 * math.pi * frequency * t + phase)
-    assert repr(sine(t)) == repr(want)
-    square = SquareWave(amplitude, frequency, duty=0.3)
-    assert repr(square.sampler()(t)) == repr(square.value(t))
+    want = [amplitude * math.sin(2.0 * math.pi * frequency * t + phase) for t in T]
+    assert [sine(t).hex() for t in T] == [w.hex() for w in want]
+    assert [v.hex() for v in sine.columns(np.array(T)).tolist()] == [w.hex() for w in want]
+    square = SquareWave(amplitude, frequency, duty).sampler()
+    want = [_square_level(amplitude, frequency, duty, t) for t in T]
+    assert [square(t).hex() for t in T] == [w.hex() for w in want]
+    assert [v.hex() for v in square.columns(np.array(T)).tolist()] == [w.hex() for w in want]
 
 
 def test_square_wave_is_right_continuous():

@@ -253,6 +253,33 @@ def test_blow_up_detected():
     assert 0.0 < exc.value.time <= 4.0
 
 
+@pytest.mark.parametrize(
+    "model, start",
+    [
+        (dataclasses.replace(thermistor(), initial_state=(0.0,)), 0.0),
+        (memristive(SignalKind.CURRENT, 1, scalar_rate(lambda x0, u, t: 1.0 / (t < 0.25)),
+                    g=lambda X, U, T: 1.0, initial_state=(0.0,)), 0.25),
+        (memristive(SignalKind.CURRENT, 2, lambda x, u, t: (1.0 / (t < 0.25), 0.0),
+                    g=lambda X, U, T: 1.0, initial_state=(0.0, 0.0)), 0.25),
+    ],
+    ids=["thermistor-at-0-K", "float-kernel", "tuple-kernel"],
+)
+def test_a_failing_state_derivative_is_a_blow_up_at_its_interval_end(model, start):
+    # the derivative divides by zero at every t >= start: the thermistor at
+    # 0 K by its temperature in the first transient step (which the splitter
+    # takes), the others in the loop's event-free inline steps. The blow-up
+    # is at the end of the first grid interval whose last stage reaches start
+    drive = Drive(SignalKind.CURRENT, Sinusoid(1.0, 1.0))
+    dt, _ = resolve_step(SimControls(), drive.period)
+    t1 = next((k + 1) * dt for k in range(10**6) if (k + 1) * dt >= start)
+    with pytest.raises(BlowUpError) as exc:
+        simulate(model, drive, SimControls())
+    assert (str(exc.value), exc.value.time) == (
+        f"state derivative failed at t = {t1}: float division by zero",
+        t1,
+    )
+
+
 def test_output_failure_at_the_first_sample_is_a_blow_up():
     bad = memristive(
         input_kind=SignalKind.CURRENT,
@@ -768,21 +795,31 @@ def test_switch_times_match_the_closed_form(amplitude, frequency, fill):
 
 @pytest.mark.parametrize("intervals", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize(
-    "model", [_switched(PiecewiseR1(period=7.0013)), _capacitor()], ids=["switched", "capacitor"]
+    "model, drive",
+    [
+        pytest.param(model, drive, id=name + suffix)
+        for suffix, drive in [
+            ("", _SINE_I),
+            ("-phase", Drive(SignalKind.CURRENT, Sinusoid(amplitude=1.0, frequency=0.1, phase=1.2345))),
+            ("-square", Drive(SignalKind.CURRENT, SquareWave(amplitude=1.0, frequency=0.1, duty=0.3337))),
+        ]
+        for name, model in [("switched", _switched(PiecewiseR1(period=7.0013))), ("capacitor", _capacitor())]
+    ],
 )
-def test_chunk_edges_record_every_row(model, intervals):
-    # rows 1..intervals are stored a chunk at a time; a stretch that starts
-    # off any multiple of the chunk size and ends on, before and after a
-    # chunk edge must hold the same samples as grid_step on every interval
+def test_chunk_edges_record_every_row(model, drive, intervals):
+    # rows 1..intervals are stored a chunk at a time, and march takes each
+    # chunk's times and drive samples as columns; a stretch that starts off
+    # any multiple of the chunk size and ends on, before and after a chunk
+    # edge must hold the same samples as grid_step on every interval
     controls = SimControls()
-    dt, _ = resolve_step(controls, _SINE_I.period)
-    engine = _Engine(model, _SINE_I, dt, _resolve_event_tol(controls, dt))
+    dt, _ = resolve_step(controls, drive.period)
+    engine = _Engine(model, drive, dt, _resolve_event_tol(controls, dt))
     k0 = 37
     x = engine.march(tuple(model.initial_state), 0, k0)
     rec = _Record(model, intervals + 1)
-    rec.put(0, k0 * dt, x, _SINE_I.value(k0 * dt))
+    rec.put(0, k0 * dt, x, drive.value(k0 * dt))
     engine.march(x, k0, k0 + intervals, rec)
-    want = _grid_step_samples(model, _SINE_I, controls, k0, k0 + intervals)
+    want = _grid_step_samples(model, drive, controls, k0, k0 + intervals)
     for column in ("t", "u", "y", "state"):
         assert np.array_equal(getattr(rec, column), getattr(want, column)), column
 
