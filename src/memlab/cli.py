@@ -30,9 +30,9 @@ from .analyze import (
     frequency_sweep,
     sweep_monotonicity,
 )
-from .core import ConfigError, Sinusoid, Trajectory
+from .core import ConfigError, Trajectory
 from .expdsl import ExperimentConfig, build_model, parse_experiment
-from .expdsl import preset_names, preset_source
+from .expdsl import preset_names, preset_source, waveform_name
 from .integrate import SimulationError, simulate
 
 SCHEMA_VERSION = 2
@@ -41,11 +41,7 @@ SCHEMA_VERSION = 2
 def _report_header(config: ExperimentConfig) -> dict:
     """The fields a run report and a sweep report both open with."""
     wf = config.drive.waveform
-    drive = {
-        "kind": config.drive.kind.value,
-        "waveform": "sinusoid" if isinstance(wf, Sinusoid) else "square",
-        **asdict(wf),
-    }
+    drive = {"kind": config.drive.kind.value, "waveform": waveform_name(wf), **asdict(wf)}
     return {
         "schema_version": SCHEMA_VERSION,
         "experiment": config.name,

@@ -55,27 +55,19 @@ class Sinusoid:
         if self.frequency <= 0.0:
             raise ConfigError("sinusoid frequency must be > 0")
 
-    def sampler(self) -> Callable[[float], float]:
-        """value as a closure; 2*pi*frequency*t evaluates left to right, so
-        binding omega = 2*pi*frequency once leaves every sample unchanged;
-        .columns gives the same samples on a column of times, bit for bit."""
-        amplitude, phase, sin = self.amplitude, self.phase, math.sin
-        omega = 2.0 * math.pi * self.frequency
-
-        def value(t: float) -> float:
-            return amplitude * sin(omega * t + phase)
-
-        def columns(T: np.ndarray) -> np.ndarray:
-            return amplitude * np.fromiter(map(sin, (omega * T + phase).tolist()), float, len(T))
-
-        value.columns = columns
-        return value
-
     def value(self, t: float) -> float:
-        return self.sampler()(t)
+        # 2*pi*frequency*t evaluates left to right, as in columns
+        return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t + self.phase)
 
-    def breakpoint_offsets(self) -> tuple[float, ...]:
-        return ()
+    def columns(self, T: np.ndarray) -> np.ndarray:
+        """value at each time of T, bit for bit: math.sin on each element."""
+        omega = 2.0 * math.pi * self.frequency
+        return self.amplitude * np.fromiter(
+            map(math.sin, (omega * T + self.phase).tolist()), float, len(T)
+        )
+
+    # the (period, offsets) of its discontinuities: none
+    breaks = ()
 
 
 @dataclass(frozen=True)
@@ -95,34 +87,25 @@ class SquareWave:
         if not 0.0 < self.duty <= 1.0:
             raise ConfigError("square wave duty must be in (0, 1]")
 
-    def sampler(self) -> Callable[[float], float]:
-        """value as a closure; .columns applies the same rule on a column of
-        times, and fmod is exact, so both give the same level at every t."""
-        amplitude, period, fmod = self.amplitude, 1.0 / self.frequency, math.fmod
-        switch = self.duty * period
-
-        def value(t: float) -> float:
-            s = fmod(t, period)
-            if s < 0.0:
-                s += period
-            return amplitude if s < switch else -amplitude
-
-        def columns(T: np.ndarray) -> np.ndarray:
-            s = np.fmod(T, period)
-            s = np.where(s < 0.0, s + period, s)
-            return np.where(s < switch, amplitude, -amplitude)
-
-        value.columns = columns
-        return value
-
     def value(self, t: float) -> float:
-        return self.sampler()(t)
+        period = 1.0 / self.frequency
+        s = math.fmod(t, period)
+        if s < 0.0:
+            s += period
+        return self.amplitude if s < self.duty * period else -self.amplitude
 
-    def breakpoint_offsets(self) -> tuple[float, ...]:
-        # level switches at k*T and (k+duty)*T; duty=1 has only period boundaries
-        if self.duty >= 1.0:
-            return (0.0,)
-        return (0.0, self.duty / self.frequency)
+    def columns(self, T: np.ndarray) -> np.ndarray:
+        """value at each time of T; fmod is exact, so both give the same level."""
+        period = 1.0 / self.frequency
+        s = np.fmod(T, period)
+        s = np.where(s < 0.0, s + period, s)
+        return np.where(s < self.duty * period, self.amplitude, -self.amplitude)
+
+    @property
+    def breaks(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
+        """The level switches at k*T and (k+duty)*T; duty 1 has only the period boundaries."""
+        offsets = (0.0,) if self.duty >= 1.0 else (0.0, self.duty / self.frequency)
+        return ((1.0 / self.frequency, offsets),)
 
 
 Waveform = Sinusoid | SquareWave
@@ -147,14 +130,8 @@ class Drive:
     def amplitude(self) -> float:
         return self.waveform.amplitude
 
-    def value(self, t: float) -> float:
-        return self.waveform.value(t)
-
     def with_frequency(self, frequency: float) -> "Drive":
         return Drive(self.kind, replace(self.waveform, frequency=frequency))
-
-    def breakpoint_offsets(self) -> tuple[float, ...]:
-        return self.waveform.breakpoint_offsets()
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +165,10 @@ class OnePort:
     2-D array X, with that row's input in U and time in T, and returns one
     output per row. memristive() builds the resistive output Y = g(X, U, T) * U;
     a one-port whose output does not factor that way (the capacitor chain)
-    passes its own output_fn. threshold_component/thresholds and
-    breakpoint_period/breakpoint_offsets are event metadata for the
-    integrator: crossings of a monitored state component and periodic time
-    discontinuities where step splitting is required.
+    passes its own output_fn. threshold_component/thresholds and breaks are
+    event metadata for the integrator: crossings of a monitored state
+    component, and periodic time discontinuities as (period, offsets) pairs,
+    where step splitting is required.
     """
 
     input_kind: SignalKind
@@ -202,8 +179,7 @@ class OnePort:
     name: str = "one-port"
     threshold_component: int | None = None
     thresholds: tuple[float, ...] = ()
-    breakpoint_period: float | None = None
-    breakpoint_offsets: tuple[float, ...] = ()
+    breaks: tuple[tuple[float, tuple[float, ...]], ...] = ()
 
     def __post_init__(self):
         component = self.threshold_component

@@ -390,8 +390,10 @@ class _Parser:
             self.warnings.append(f"model {kind}: using default {key} = {default}")
 
         if "q0" in keys and "q0" not in params:
-            # q0 has no static default: derive it from the drive
+            # q0 has no static default: derive it from the drive, with an n
+            # the parameter class takes
             n = params["n_switches"]
+            models.check_switch_count(n)
             omega = 2.0 * math.pi * drive.frequency
             q0 = 2.0 * drive.amplitude / ((n + 1) * omega)
             if q0 <= 0.0:
@@ -439,6 +441,11 @@ def _params(cls, values: dict):
     return cls(**kwargs)
 
 
+def waveform_name(waveform) -> str:
+    """The experiment-language name of a drive waveform."""
+    return next(name for name, cls in _WAVEFORMS.items() if isinstance(waveform, cls))
+
+
 def _fmt(val) -> str:
     if isinstance(val, bool):
         return "true" if val else "false"
@@ -458,8 +465,7 @@ def serialize_experiment(config: ExperimentConfig) -> str:
     lines.append("}")
 
     wf = config.drive.waveform
-    wave = next(name for name, cls in _WAVEFORMS.items() if isinstance(wf, cls))
-    lines.append(f"drive {config.drive.kind.value} {wave} {{")
+    lines.append(f"drive {config.drive.kind.value} {waveform_name(wf)} {{")
     for f in fields(wf):
         lines.append(f"  {f.name} = {_fmt(float(getattr(wf, f.name)))}")
     lines.append("}")

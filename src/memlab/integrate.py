@@ -172,14 +172,8 @@ class _Engine:
         self.model = model
         self.dt = dt
         self.event_tol = event_tol
-        self.value = drive.waveform.sampler()
-        specs = []
-        if model.breakpoint_period is not None:
-            specs.append((model.breakpoint_period, tuple(model.breakpoint_offsets)))
-        drive_offsets = drive.breakpoint_offsets()
-        if drive_offsets:
-            specs.append((drive.period, drive_offsets))
-        self.specs = specs
+        self.waveform, self.value = drive.waveform, drive.waveform.value
+        self.specs = (*model.breaks, *drive.waveform.breaks)
         # which thresholds the monitored component lies between is the count
         # of them at or below it; nothing compares below NaN, so a NaN
         # threshold is never crossed
@@ -312,7 +306,7 @@ class _Engine:
         # a float and steps it inline on its float derivative; a larger state
         # goes through the tuple kernel.
         dt = self.dt
-        columns = self.value.columns
+        columns = self.waveform.columns
         grid_step = self.grid_step
         breaks = self.breaks
         specs = self.specs
@@ -474,16 +468,16 @@ def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
             f"the run takes {cycles * n} grid steps, over the budget of {MAX_GRID_STEPS}; "
             "raise dt or run fewer cycles"
         )
-    if model.breakpoint_period is not None:
-        # the steps split at each model breakpoint: a period far below dt
-        # would list and step millions of breaks in one grid interval
-        splits = cycles * drive.period / model.breakpoint_period * len(model.breakpoint_offsets)
-        if splits > MAX_GRID_STEPS:
-            raise ConfigError(
-                f"a breakpoint period of {model.breakpoint_period} s splits the run "
-                f"{splits:.3g} times, over the budget of {MAX_GRID_STEPS}; "
-                "raise the period or run fewer cycles"
-            )
+    # the steps split at each model break: a period far below dt would list
+    # and step millions of breaks in one grid interval
+    splits = sum(cycles * drive.period / period * len(offsets) for period, offsets in model.breaks)
+    if splits > MAX_GRID_STEPS:
+        periods = " and ".join(f"{period} s" for period, _ in model.breaks)
+        raise ConfigError(
+            f"breaking every {periods} splits the run {splits:.3g} times, "
+            f"over the budget of {MAX_GRID_STEPS}; "
+            "raise the period or run fewer cycles"
+        )
     first_kept = n * controls.transient_cycles
     total_steps = n * cycles
     x = engine.march(x, 0, first_kept)

@@ -183,6 +183,23 @@ class PiecewiseR1:
         if self.period <= 0.0:
             raise ConfigError("piecewise r1 period must be > 0")
 
+    def value(self, t: float) -> float:
+        s = math.fmod(t, self.period)
+        if s < 0.0:
+            s += self.period
+        return self.high if s <= 0.5 * self.period else self.low
+
+    def columns(self, T: np.ndarray) -> np.ndarray:
+        """value at each time of T; fmod is exact, so both give the same level."""
+        s = np.fmod(T, self.period)
+        s = np.where(s < 0.0, s + self.period, s)
+        return np.where(s <= 0.5 * self.period, self.high, self.low)
+
+    @property
+    def breaks(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
+        """The toggles at k*period and (k + 1/2)*period."""
+        return ((self.period, (0.0, 0.5 * self.period)),)
+
 
 # each switch is a threshold the engine holds and searches, so the count
 # bounds the tuple switch_thresholds builds
@@ -209,48 +226,13 @@ class SwitchedNetworkParams:
             raise ConfigError("r1 must be > 0")
         if self.r_branch <= 0.0:
             raise ConfigError("r_branch must be > 0")
-        if not 1 <= self.n_switches <= MAX_SWITCHES:
-            raise ConfigError(f"n_switches must be in 1..{MAX_SWITCHES}, got {self.n_switches}")
+        check_switch_count(self.n_switches)
 
 
-def _r1_fn(params: SwitchedNetworkParams) -> Callable[[float], float]:
-    """r1(t) as a closure over the constant or the PiecewiseR1's levels; the
-    closure carries the same rule on a column of times as .columns."""
-    r1 = params.r1
-    if not isinstance(r1, PiecewiseR1):
-
-        def constant(t: float) -> float:
-            return r1
-
-        constant.columns = lambda T: r1
-        return constant
-    high, low, period, half = r1.high, r1.low, r1.period, 0.5 * r1.period
-    fmod = math.fmod
-
-    def piecewise(t: float) -> float:
-        s = fmod(t, period)
-        if s < 0.0:
-            s += period
-        return high if s <= half else low
-
-    def columns(T: np.ndarray) -> np.ndarray:
-        s = np.fmod(T, period)
-        s = np.where(s < 0.0, s + period, s)
-        return np.where(s <= half, high, low)
-
-    piecewise.columns = columns
-    return piecewise
-
-
-def _closed_fn(params: SwitchedNetworkParams) -> Callable[[np.ndarray], np.ndarray]:
-    """The closed switch count clamp(floor(q/q0), 0, n) on a column of
-    charges, as floats; a q/q0 that overflows to +-inf clamps to n or 0."""
-    q0, n = params.q0, params.n_switches
-
-    def closed(Q: np.ndarray) -> np.ndarray:
-        return np.clip(np.floor(Q / q0), 0, n)
-
-    return closed
+def check_switch_count(n: int) -> None:
+    """Raise ConfigError unless 1 <= n <= MAX_SWITCHES."""
+    if not 1 <= n <= MAX_SWITCHES:
+        raise ConfigError(f"n_switches must be in 1..{MAX_SWITCHES}, got {n}")
 
 
 def switch_thresholds(params: SwitchedNetworkParams) -> tuple[float, ...]:
@@ -258,25 +240,20 @@ def switch_thresholds(params: SwitchedNetworkParams) -> tuple[float, ...]:
     return tuple(i * params.q0 for i in range(1, params.n_switches + 1))
 
 
-def _r1_breakpoints(params: SwitchedNetworkParams) -> tuple[float | None, tuple[float, ...]]:
-    r1 = params.r1
-    if isinstance(r1, PiecewiseR1):
-        return r1.period, (0.0, 0.5 * r1.period)
-    return None, ()
-
-
 def switched_network(params: SwitchedNetworkParams) -> OnePort:
     """Switched chain; state (q,) is the charge through the chain, and its
     resistance is r1(t) + (n - closed(q)) * r_branch."""
-    bp_period, bp_offsets = _r1_breakpoints(params)
-    r1, closed = _r1_fn(params).columns, _closed_fn(params)
-    n, r_branch = params.n_switches, params.r_branch
+    r1, q0, n, r_branch = params.r1, params.q0, params.n_switches, params.r_branch
+    piecewise = isinstance(r1, PiecewiseR1)
 
     def rate(q, u, t):
         return u
 
     def resistance(X, U, T):
-        return r1(T) + (n - closed(X[:, 0])) * r_branch
+        # the closed count clamp(floor(q/q0), 0, n) as floats; a q/q0 that
+        # overflows to +-inf clamps to n or 0
+        closed = np.clip(np.floor(X[:, 0] / q0), 0, n)
+        return (r1.columns(T) if piecewise else r1) + (n - closed) * r_branch
 
     return memristive(
         input_kind=MODELS["switched"].input_kind,
@@ -287,8 +264,7 @@ def switched_network(params: SwitchedNetworkParams) -> OnePort:
         name="switched-network",
         threshold_component=0,
         thresholds=switch_thresholds(params),
-        breakpoint_period=bp_period,
-        breakpoint_offsets=bp_offsets,
+        breaks=r1.breaks if piecewise else (),
     )
 
 
@@ -317,20 +293,18 @@ def capacitor_circuit(params: CapacitorCircuitParams) -> OnePort:
 
     dv_c/dt = (i_s - i_r1) / cap and dq_r1/dt = i_r1, with i_r1 = v_c / r1(t).
     """
-    base = params.base
-    cap = params.cap
-    r_branch = base.r_branch
-    n = base.n_switches
-    bp_period, bp_offsets = _r1_breakpoints(base)
-    r1, closed = _r1_fn(base), _closed_fn(base)
+    base, cap = params.base, params.cap
+    r1, q0, n, r_branch = base.r1, base.q0, base.n_switches, base.r_branch
+    piecewise = isinstance(r1, PiecewiseR1)
 
     def f(x, u, t):
         v_c = x[0]
-        i_r1 = v_c / r1(t)
+        i_r1 = v_c / (r1.value(t) if piecewise else r1)
         return ((u - i_r1) / cap, i_r1)
 
     def output(X, U, T):
-        return X[:, 0] + (n - closed(X[:, 1])) * r_branch * U
+        closed = np.clip(np.floor(X[:, 1] / q0), 0, n)
+        return X[:, 0] + (n - closed) * r_branch * U
 
     return OnePort(
         input_kind=MODELS["capacitor"].input_kind,
@@ -341,8 +315,7 @@ def capacitor_circuit(params: CapacitorCircuitParams) -> OnePort:
         name="capacitor-circuit",
         threshold_component=1,
         thresholds=switch_thresholds(base),
-        breakpoint_period=bp_period,
-        breakpoint_offsets=bp_offsets,
+        breaks=r1.breaks if piecewise else (),
     )
 
 

@@ -307,6 +307,22 @@ def test_n_switches_over_the_bound_exits_2(tmp_path, capsys):
     assert not (tmp_path / "chain.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["switched", "capacitor"])
+@pytest.mark.parametrize("n", [-1, -2, 0])
+def test_an_n_switches_out_of_range_exits_2_when_q0_is_derived(tmp_path, capsys, kind, n):
+    # q0 left to be derived from the drive divides by n + 1: the range the
+    # parameter class checks is the one refused, whatever the drive
+    src = tmp_path / "chain.dsl"
+    src.write_text(
+        "experiment chain\n"
+        f"model {kind} {{ n_switches = {n} }}\n"
+        "drive current sinusoid { amplitude = 1 A  frequency = 1 Hz }\n"
+    )
+    assert main(["run", str(src), "--out", str(tmp_path)]) == 2
+    assert f"n_switches must be in 1..{MAX_SWITCHES}, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "chain.csv").exists()
+
+
 def test_a_charge_ratio_that_overflows_closes_every_switch(tmp_path, capsys):
     # q0 = 1e-310 C is finite and positive: q/q0 overflows to inf once q
     # passes about 0.018 C, and the clamp takes it to n, every switch closed

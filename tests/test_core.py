@@ -20,7 +20,9 @@ from memlab import (
     memristive,
 )
 from memlab.core import accumulate_integrals, terminal_pair
+from memlab.models import PiecewiseR1
 
+from oracles import r1_of_t
 from test_models import _recorded_y
 
 
@@ -59,32 +61,45 @@ def _square_level(amplitude, frequency, duty, t):
     return amplitude if s < duty * period else -amplitude
 
 
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
 @given(
     amplitude=st.floats(0.0, 1e6),
     frequency=st.floats(1e-9, 1e6),
     phase=st.floats(-10.0, 10.0),
     duty=st.floats(0.0, 1.0, exclude_min=True),
+    high=st.floats(1e-3, 1e6),
+    low=st.floats(1e-3, 1e6),
+    r1_period=st.floats(1e-6, 1e6),
     times=st.lists(st.floats(0.0, 1e9), max_size=8),
     cycles=st.lists(st.integers(0, 10**6), max_size=4),
 )
 def test_a_sampler_gives_the_waveform_values_bit_for_bit(
-    amplitude, frequency, phase, duty, times, cycles
+    amplitude, frequency, phase, duty, high, low, r1_period, times, cycles
 ):
-    # the scalar sampler against the closed forms, and its .columns against
-    # the scalar sampler, hex for hex: at drawn times, at the square wave's
-    # break times k*period and k*period + duty*period, and one float either
-    # side of each
-    period = 1.0 / frequency
-    breaks = [tb for k in cycles for tb in (k * period, k * period + duty * period)]
-    T = times + breaks + [math.nextafter(tb, to) for tb in breaks for to in (-math.inf, math.inf)]
-    sine = Sinusoid(amplitude, frequency, phase).sampler()
-    want = [amplitude * math.sin(2.0 * math.pi * frequency * t + phase) for t in T]
-    assert [sine(t).hex() for t in T] == [w.hex() for w in want]
-    assert [v.hex() for v in sine.columns(np.array(T)).tolist()] == [w.hex() for w in want]
-    square = SquareWave(amplitude, frequency, duty).sampler()
-    want = [_square_level(amplitude, frequency, duty, t) for t in T]
-    assert [square(t).hex() for t in T] == [w.hex() for w in want]
-    assert [v.hex() for v in square.columns(np.array(T)).tolist()] == [w.hex() for w in want]
+    # each periodic signal's value against its closed form, and its columns
+    # against its value, hex for hex: at drawn times, at its break times
+    # k*period and k*period + (duty or 1/2)*period, cycle 0 always among
+    # them, and one float either side of each
+    def at_breaks(period, fraction):
+        breaks = [tb for k in (0, *cycles) for tb in (k * period, k * period + fraction * period)]
+        return times + breaks + [
+            math.nextafter(tb, to) for tb in breaks for to in (-math.inf, math.inf)
+        ]
+
+    T, R = at_breaks(1.0 / frequency, duty), at_breaks(r1_period, 0.5)
+    cases = [
+        (Sinusoid(amplitude, frequency, phase), T,
+         [amplitude * math.sin(2.0 * math.pi * frequency * t + phase) for t in T]),
+        (SquareWave(amplitude, frequency, duty), T,
+         [_square_level(amplitude, frequency, duty, t) for t in T]),
+        (PiecewiseR1(high, low, r1_period), R, [r1_of_t(t, high, low, r1_period) for t in R]),
+    ]
+    for signal, at, want in cases:
+        assert _hexes(map(signal.value, at)) == _hexes(want), signal
+        assert _hexes(signal.columns(np.array(at)).tolist()) == _hexes(want), signal
 
 
 def test_square_wave_is_right_continuous():
@@ -100,13 +115,13 @@ def test_square_wave_full_duty_is_dc():
     w = SquareWave(amplitude=1e-3, frequency=0.01, duty=1.0)
     for t in (0.0, 13.7, 99.999, 100.0, 1234.5):
         assert w.value(t) == 1e-3
-    assert w.breakpoint_offsets() == (0.0,)
+    assert w.breaks == ((100.0, (0.0,)),)
 
 
 def test_square_wave_breakpoints():
     w = SquareWave(amplitude=1.0, frequency=0.5, duty=0.25)
-    assert w.breakpoint_offsets() == (0.0, 0.5)
-    assert Sinusoid(amplitude=1.0, frequency=2.0).breakpoint_offsets() == ()
+    assert w.breaks == ((2.0, (0.0, 0.5)),)
+    assert Sinusoid(amplitude=1.0, frequency=2.0).breaks == ()
 
 
 def test_drive_properties():

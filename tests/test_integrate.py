@@ -182,7 +182,7 @@ def test_grid_step_multiple_thresholds():
 
 
 def test_grid_step_splits_at_time_breaks():
-    pts = _ramp_ends(0.0, 1.0, breakpoint_period=1.0, breakpoint_offsets=(0.3, 0.7))
+    pts = _ramp_ends(0.0, 1.0, breaks=((1.0, (0.3, 0.7)),))
     times = [t for t, _ in pts]
     assert times == pytest.approx([0.3, 0.7, 1.0])
     assert pts[-1][1][0] == pytest.approx(1.0, abs=1e-12)
@@ -418,7 +418,7 @@ def _first_failure(model, drive, controls):
                 return f"state became non-finite at t = {t}", t
         try:
             with np.errstate(all="ignore"):
-                (y,) = model.output_fn(np.array([x]), np.array([drive.value(t)]), np.array([t]))
+                (y,) = model.output_fn(np.array([x]), np.array([drive.waveform.value(t)]), np.array([t]))
         except ArithmeticError as exc:
             return f"output not finite at t = {t}: {exc}", t
         if not math.isfinite(y):
@@ -573,7 +573,7 @@ def _grid_step_samples(model, drive, controls, k_first, k_last):
     rows.append((k_last * dt, x))
     t = np.array([ti for ti, _ in rows])
     state = np.array([xi for _, xi in rows])
-    u = np.array([drive.value(ti) for ti in t])
+    u = np.array([drive.waveform.value(ti) for ti in t])
     y = _recorded_y(model, [(xi, ui, ti) for (ti, xi), ui in zip(rows, u)])
     v, i = terminal_pair(model.input_kind, u, y)
     traj = Trajectory(dt=dt, t=t, u=u, y=y, v=v, i=i, state=state, steps_per_cycle=n)
@@ -630,7 +630,7 @@ def test_plain_stepping_matches_the_general_path(case, run):
         mp.setattr(_Engine, "grid_step", counted)
         got = run(model, drive, controls)
     k_last = round(got.t[-1] / dt)
-    if model.breakpoint_period is not None and 0.5 * model.breakpoint_period < dt:
+    if model.breaks and 0.5 * model.breaks[0][0] < dt:
         assert len(calls) >= k_last  # an r1 toggle inside every grid interval
     else:
         assert len(calls) < k_last // 4  # event-free intervals were stepped inline
@@ -817,7 +817,7 @@ def test_chunk_edges_record_every_row(model, drive, intervals):
     k0 = 37
     x = engine.march(tuple(model.initial_state), 0, k0)
     rec = _Record(model, intervals + 1)
-    rec.put(0, k0 * dt, x, drive.value(k0 * dt))
+    rec.put(0, k0 * dt, x, drive.waveform.value(k0 * dt))
     engine.march(x, k0, k0 + intervals, rec)
     want = _grid_step_samples(model, drive, controls, k0, k0 + intervals)
     for column in ("t", "u", "y", "state"):
@@ -878,7 +878,7 @@ def test_a_step_is_the_literal_tuple_rk4(model, temp, other, amplitude, h, cycle
     tb = b - max(1e-9 * h, 1e-15 * abs(b)) if nudge_b else b
     engine = _Engine(model, drive, 1.0, 1e-3)
     try:
-        want = _literal_rk4(model.f, drive.value, x, ta, a + 0.5 * h, tb, h)
+        want = _literal_rk4(model.f, drive.waveform.value, x, ta, a + 0.5 * h, tb, h)
     except OverflowError:
         # a long step can throw a stage far enough that the thermistor's
         # exp overflows; the engine's step must fail the same way

@@ -253,10 +253,8 @@ def test_switched_model_event_metadata():
 
 def test_switched_model_time_dependent_breakpoints():
     m = switched_network(SwitchedNetworkParams(q0=0.25, r1=PiecewiseR1(3.0, 1.0, 10.0)))
-    assert m.breakpoint_period == 10.0
-    assert m.breakpoint_offsets == (0.0, 5.0)
-    m2 = switched_network(SW)
-    assert m2.breakpoint_period is None
+    assert m.breaks == ((10.0, (0.0, 5.0)),)
+    assert switched_network(SW).breaks == ()
 
 
 # ---------------------------------------------------------------------------
