@@ -155,12 +155,19 @@ def _out_base(args) -> Path:
     return Path(env) if env else Path(".")
 
 
-def _resolve(base: Path, rel: str) -> Path:
-    p = Path(rel)
-    if not p.is_absolute():
-        p = base / p
-    p.parent.mkdir(parents=True, exist_ok=True)
-    return p
+def _output_paths(args, config: ExperimentConfig) -> tuple[Path, Path | None]:
+    """The csv and json paths, relative ones under the output base, with
+    their directories made; refused before anything is made when the json
+    path names the csv file."""
+    base = _out_base(args)
+    csv_path = base / config.csv_path
+    json_path = None if config.json_path is None else base / config.json_path
+    if json_path is not None and json_path.resolve() == csv_path.resolve():
+        raise ConfigError(f"the json output {str(json_path)!r} is the csv output {str(csv_path)!r}")
+    for path in (csv_path, json_path):
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+    return csv_path, json_path
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -183,13 +190,11 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    csv_path, json_path = _output_paths(args, config)
     traj, report = run_experiment(config, dt_override=args.dt_override)
-    base = _out_base(args)
-    csv_path = _resolve(base, config.csv_path)
     write_trajectory_csv(csv_path, traj)
     print(f"wrote {csv_path}")
-    if config.json_path is not None:
-        json_path = _resolve(base, config.json_path)
+    if json_path is not None:
         _write_json(json_path, report)
         print(f"wrote {json_path}")
     return 0
@@ -199,6 +204,7 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args)
     if not config.sweep_frequencies:
         raise ConfigError(f"experiment {config.name!r} has no sweep(...) in its analyze block")
+    csv_path, json_path = _output_paths(args, config)
     model = build_model(config)
     start = time.perf_counter()
     points = frequency_sweep(model, config.drive, config.sweep_frequencies, config.controls)
@@ -214,8 +220,6 @@ def _cmd_sweep(args) -> int:
         for p in points
     ]
 
-    base = _out_base(args)
-    csv_path = _resolve(base, config.csv_path)
     columns = ["frequency", "normalized_area", "kind", "dq_per_cycle", "dphi_per_cycle"]
     with open(csv_path, "w", newline="") as fh:
         # csv writes a float as its str, which is its repr
@@ -224,7 +228,7 @@ def _cmd_sweep(args) -> int:
         writer.writerows([entry[c] for c in columns] for entry in entries)
     print(f"wrote {csv_path}")
 
-    if config.json_path is not None:
+    if json_path is not None:
         payload = {
             **_report_header(config),
             "frequencies": list(config.sweep_frequencies),
@@ -232,7 +236,6 @@ def _cmd_sweep(args) -> int:
             "monotonicity": sweep_monotonicity(points),
             "wall_time_s": wall,
         }
-        json_path = _resolve(base, config.json_path)
         _write_json(json_path, payload)
         print(f"wrote {json_path}")
     return 0

@@ -142,24 +142,13 @@ RateFn = Callable[[float, float, float], float]
 ColumnFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def scalar_rate(rate: RateFn) -> StateFn:
-    """A one-state model's f from its derivative rate(x0, u, t) -> float.
-
-    f takes and returns a 1-tuple like any StateFn and carries rate as
-    f.scalar, which the one-state stepping loop calls with a float state. A
-    function that replaces f has no f.scalar, so the loop calls it instead.
-    """
-
-    def f(x, u, t):
-        return (rate(x[0], u, t),)
-
-    f.scalar = rate
-    return f
-
-
 @dataclass(frozen=True, eq=False)
 class OnePort:
     """State equation dx/dt = f(x, u, t) with output Y = output_fn(X, U, T).
+
+    For one state, f takes and returns a float, f(x0, u, t) -> dx0/dt; for
+    more, f takes the state tuple and returns the tuple of its derivatives.
+    initial_state is a tuple either way.
 
     output_fn works on columns of samples: it takes one state per row of the
     2-D array X, with that row's input in U and time in T, and returns one
@@ -173,7 +162,7 @@ class OnePort:
 
     input_kind: SignalKind
     state_dim: int
-    f: StateFn
+    f: StateFn | RateFn
     output_fn: ColumnFn
     initial_state: tuple[float, ...]
     name: str = "one-port"
@@ -193,7 +182,7 @@ class OnePort:
 def memristive(
     input_kind: SignalKind,
     state_dim: int,
-    f: StateFn,
+    f: StateFn | RateFn,
     g: ColumnFn,
     initial_state: tuple[float, ...],
     name: str = "one-port",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -126,20 +127,19 @@ def check_compatible(model, drive: Drive) -> None:
         )
 
 
-def _scalar_rk4(rate):
+def _scalar_rk4(f):
     """One classical RK4 step of a one-state model on its float derivative
-    rate(x0, u, t), taking and returning a 1-tuple; the stages and inputs
-    are given, so the caller decides where they sit."""
+    f(x, u, t), taking and returning a float; the stages and inputs are
+    given, so the caller decides where they sit."""
 
     def rk4(x, u1, um, u4, ta, tm, tb, h):
-        x0 = x[0]
-        c1 = rate(x0, u1, ta)
+        c1 = f(x, u1, ta)
         h2 = 0.5 * h
-        c2 = rate(x0 + h2 * c1, um, tm)
-        c3 = rate(x0 + h2 * c2, um, tm)
-        c4 = rate(x0 + h * c3, u4, tb)
+        c2 = f(x + h2 * c1, um, tm)
+        c3 = f(x + h2 * c2, um, tm)
+        c4 = f(x + h * c3, u4, tb)
         h6 = h / 6.0
-        return (x0 + h6 * (c1 + 2.0 * (c2 + c3) + c4),)
+        return x + h6 * (c1 + 2.0 * (c2 + c3) + c4)
 
     return rk4
 
@@ -180,18 +180,16 @@ class _Engine:
         monitored = model.thresholds if model.threshold_component is not None else ()
         self.sorted_thresholds = tuple(sorted(th for th in monitored if not math.isnan(th)))
         # one RK4 kernel per state kind: a one-state model steps a float on its
-        # float derivative, a larger state steps a tuple on f
-        self.rate = None
+        # float f, a larger state steps a tuple on its tuple f. side(x) is the
+        # count of thresholds at or below x's monitored component
+        thresholds = self.sorted_thresholds
         if model.state_dim == 1:
-            f = model.f
-            self.rate = getattr(f, "scalar", None)
-            if self.rate is None:  # a tuple-only f, or one that replaced a model's f
-
-                def rate(x0, u, t):
-                    return f((x0,), u, t)[0]
-
-                self.rate = rate
-        self.rk4 = _tuple_rk4(model.f) if self.rate is None else _scalar_rk4(self.rate)
+            self.rk4 = _scalar_rk4(model.f)
+            self.side = partial(bisect_right, thresholds)
+        else:
+            self.rk4 = _tuple_rk4(model.f)
+            monitor = model.threshold_component or 0
+            self.side = lambda x: bisect_right(thresholds, x[monitor])
 
     def breaks(self, t0: float, t1: float) -> list[float]:
         """The break times in [t0, t1], sorted: off + m*period for integer m,
@@ -223,11 +221,12 @@ class _Engine:
                 merged.append(tb)
         return merged
 
-    def step(self, x: tuple, a: float, b: float, at_a: bool = False, at_b: bool = False) -> tuple:
-        # One classical RK4 step over a smooth sub-interval. A stage at an end
-        # that is a break (at_a, at_b) is taken 1e-9 of the step inside, and at
-        # least 1e-15 of t, past the rounding by which a waveform's own switch
-        # can miss the break time: it resolves on this sub-step's side.
+    def step(self, x: float | tuple, a: float, b: float, at_a: bool = False, at_b: bool = False):
+        # One classical RK4 step of x (a float for one state, else a tuple)
+        # over a smooth sub-interval. A stage at an end that is a break (at_a,
+        # at_b) is taken 1e-9 of the step inside, and at least 1e-15 of t, past
+        # the rounding by which a waveform's own switch can miss the break
+        # time: it resolves on this sub-step's side.
         h = b - a
         ta = a + max(1e-9 * h, 1e-15 * abs(a)) if at_a else a
         tb = b - max(1e-9 * h, 1e-15 * abs(b)) if at_b else b
@@ -235,7 +234,7 @@ class _Engine:
         value = self.value
         return self.rk4(x, value(ta), value(tm), value(tb), ta, tm, tb, h)
 
-    def grid_step(self, x: tuple, t0: float, t1: float, trial: tuple | None = None) -> list:
+    def grid_step(self, x: float | tuple, t0: float, t1: float, trial=None) -> list:
         """Advance x over the grid interval [t0, t1], split at events; returns
         the sub-step ends [(t, x), ...], the last at t1.
 
@@ -248,10 +247,9 @@ class _Engine:
         """
         ends = self.breaks(t0, t1)
         bounds = [t0, *[tb for tb in ends if t0 < tb < t1], t1]
-        thresholds = self.sorted_thresholds
-        monitor = self.model.threshold_component
+        thresholds, side_of = self.sorted_thresholds, self.side
         step = self.step
-        out: list[tuple[float, tuple]] = []
+        out: list = []
         for a, b in zip(bounds, bounds[1:]):
             # a bound is a break when breaks returned it; the start of the
             # sub-step after a crossing and the far end of a probe are not
@@ -259,9 +257,7 @@ class _Engine:
             while b - a > 0.0:
                 x1 = step(x, a, b, at_a, at_b) if trial is None else trial
                 trial = None
-                if not thresholds or (side := bisect_right(thresholds, x[monitor])) == bisect_right(
-                    thresholds, x1[monitor]
-                ):
+                if not thresholds or (side := side_of(x)) == side_of(x1):
                     out.append((b, x1))
                     x = x1
                     break
@@ -275,7 +271,7 @@ class _Engine:
                         )
                     mid = 0.5 * (lo + hi)
                     probe = step(x, a, a + mid, at_a)
-                    if bisect_right(thresholds, probe[monitor]) != side:
+                    if side_of(probe) != side:
                         hi = mid
                         x_hi = probe
                     else:
@@ -286,7 +282,7 @@ class _Engine:
                 out.append((a, x))
         return out
 
-    def march(self, x: tuple, k0: int, k1: int, rec: _Record | None = None) -> tuple:
+    def march(self, x: float | tuple, k0: int, k1: int, rec: _Record | None = None):
         """Step x across grid intervals k0..k1-1 and return the final state.
 
         With rec, the state after interval k is recorded in row k + 1 - k0.
@@ -302,9 +298,8 @@ class _Engine:
         # stage's input is the input at t1, recorded and reused as the next
         # step's first. A trial that crosses a threshold is handed to
         # grid_step as its first step. Every other interval, the first one
-        # included, goes to grid_step. A one-state model carries its state as
-        # a float and steps it inline on its float derivative; a larger state
-        # goes through the tuple kernel.
+        # included, goes to grid_step. A one-state model's float state steps
+        # inline on its float f; a larger state goes through the tuple kernel.
         dt = self.dt
         columns = self.waveform.columns
         grid_step = self.grid_step
@@ -316,14 +311,11 @@ class _Engine:
             # takes it for an end, and by the rounding of t
             reach = min(period for period, _ in specs)
             slack = 2e-9 * max(period for period, _ in specs)
-        thresholds = self.sorted_thresholds
-        monitor = self.model.threshold_component or 0
+        thresholds, side_of = self.sorted_thresholds, self.side
         isfinite = math.isfinite
-        rate = self.rate
-        scalar = rate is not None
+        scalar = self.model.state_dim == 1
         if scalar:
-            finite = isfinite
-            x = x[0]
+            f, finite = self.model.f, isfinite
         else:
             rk4 = self.rk4
 
@@ -334,7 +326,7 @@ class _Engine:
             states = rec.state[:, 0] if scalar else rec.state
             xs: list = []
         hi = -math.inf
-        side = bisect_right(thresholds, x if scalar else x[monitor])
+        side = side_of(x)
         for c0 in range(k0, k1, CHUNK):
             ce = min(c0 + CHUNK, k1)
             # the grid times k * dt (k < 2**53 is exact, so each rounds as the
@@ -350,32 +342,26 @@ class _Engine:
                         if not scalar:
                             x1 = rk4(x, u1, um, u4, a, tm, t1, h)
                         else:  # the float kernel, inline
-                            c1 = rate(x, u1, a)
+                            c1 = f(x, u1, a)
                             h2 = 0.5 * h
-                            c2 = rate(x + h2 * c1, um, tm)
-                            c3 = rate(x + h2 * c2, um, tm)
-                            c4 = rate(x + h * c3, u4, t1)
+                            c2 = f(x + h2 * c1, um, tm)
+                            c3 = f(x + h2 * c2, um, tm)
+                            c4 = f(x + h * c3, u4, t1)
                             h6 = h / 6.0
                             x1 = x + h6 * (c1 + 2.0 * (c2 + c3) + c4)
-                        if thresholds and bisect_right(
-                            thresholds, x1 if scalar else x1[monitor]
-                        ) != side:
-                            if scalar:
-                                x = grid_step((x,), a, t1, (x1,))[-1][1][0]
-                            else:
-                                x = grid_step(x, a, t1, x1)[-1][1]
-                            side = bisect_right(thresholds, x if scalar else x[monitor])
+                        if thresholds and side_of(x1) != side:
+                            x = grid_step(x, a, t1, x1)[-1][1]
+                            side = side_of(x)
                         else:
                             x = x1
                     else:
-                        x = grid_step((x,) if scalar else x, a, t1)[-1][1]
-                        x = x[0] if scalar else x
+                        x = grid_step(x, a, t1)[-1][1]
                         hi = math.inf
                         if specs:
                             ahead = breaks(t1, t1 + reach)
                             nb = ahead[0] if ahead else t1
                             hi = nb - (slack + 1e-15 * nb) if nb > t1 else -math.inf
-                        side = bisect_right(thresholds, x if scalar else x[monitor])
+                        side = side_of(x)
                     if not finite(x):
                         raise BlowUpError(f"state became non-finite at t = {t1}", t1)
                     if rec is not None:
@@ -395,7 +381,7 @@ class _Engine:
                     states[rows] = xs
                     xs.clear()
                     rec.fill(rows)
-        return (x,) if scalar else x
+        return x
 
 
 class _Record:
@@ -409,7 +395,7 @@ class _Record:
         self.y = np.empty(rows)
         self.state = np.empty((rows, model.state_dim))
 
-    def put(self, row: int, t: float, x: tuple, u: float) -> None:
+    def put(self, row: int, t: float, x: float | tuple, u: float) -> None:
         self.t[row] = t
         self.u[row] = u
         self.state[row] = x
@@ -457,11 +443,18 @@ def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
     check_compatible(model, drive)
     dt, n = resolve_step(controls, drive.period)
     engine = _Engine(model, drive, dt, _resolve_event_tol(controls, dt))
-    x = tuple(model.initial_state) if x0 is None else tuple(float(v) for v in x0)
-    if len(x) != model.state_dim:
+    start = tuple(float(v) for v in (model.initial_state if x0 is None else x0))
+    if len(start) != model.state_dim:
         raise ConfigError(
-            f"initial state has {len(x)} components, model expects {model.state_dim}"
+            f"initial state has {len(start)} components, model expects {model.state_dim}"
         )
+    for k, v in enumerate(start):
+        if not math.isfinite(v):
+            raise ConfigError(
+                f"initial state component {k} of model {model.name!r} must be finite, got {v!r}"
+            )
+    # the engine carries a one-state model's state as a float
+    x = start[0] if model.state_dim == 1 else start
     cycles = controls.transient_cycles + controls.record_cycles
     if cycles * n > MAX_GRID_STEPS:
         raise ConfigError(

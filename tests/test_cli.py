@@ -384,6 +384,21 @@ def test_out_env_var(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "quick.csv").exists()
 
 
+@pytest.mark.parametrize("json_path", ["out.txt", "./out.txt"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_json_path_that_is_the_csv_path_exits_2(command, json_path, tmp_path, capsys):
+    # the report would replace the trajectory: refused before simulating
+    text = FAST_DSL if command == "run" else preset_source("fig12_13_sweep")
+    text = text.rsplit("output", 1)[0] + f'output csv "out.txt" json "{json_path}"\n'
+    src = tmp_path / "same.dsl"
+    src.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, str(src), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "is the csv output" in captured.err and "wrote" not in captured.out
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # main on generated descriptions
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -24,7 +25,6 @@ from memlab.core import (
     OnePort,
     Trajectory,
     accumulate_integrals,
-    scalar_rate,
     terminal_pair,
 )
 from memlab.integrate import (
@@ -143,6 +143,26 @@ def test_initial_state_dimension_checked():
         simulate(m, d, SimControls(), x0=(298.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("given", ["x0", "initial_state"])
+@pytest.mark.parametrize("build", [thermistor, lambda: _capacitor()], ids=["thermistor", "capacitor"])
+def test_a_non_finite_initial_state_is_a_config_error(build, given, bad):
+    # a state that was never finite is a bad configuration, not a blow-up at
+    # the first grid step nor, without a transient, an output failure at t = 0
+    model = build()
+    state = (*model.initial_state[:-1], bad)
+    if given == "initial_state":
+        model, state = dataclasses.replace(model, initial_state=state), None
+    d = Drive(SignalKind.CURRENT, Sinusoid(amplitude=1e-4, frequency=0.1))
+    message = (
+        f"initial state component {model.state_dim - 1} of model {model.name!r} "
+        f"must be finite, got {bad!r}"
+    )
+    for transient in (0, 1):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            simulate(model, d, SimControls(transient_cycles=transient, record_cycles=1), x0=state)
+
+
 # ---------------------------------------------------------------------------
 # the splitter: grid_step's sub-step ends
 
@@ -151,7 +171,7 @@ def test_initial_state_dimension_checked():
 _RAMP = memristive(
     SignalKind.CURRENT,
     1,
-    scalar_rate(lambda x0, u, t: 1.0),
+    lambda x, u, t: 1.0,
     g=lambda X, U, T: 1.0,
     initial_state=(0.0,),
     name="ramp",
@@ -160,7 +180,7 @@ _RAMP = memristive(
 
 def _ramp_ends(t0, t1, **events):
     model = dataclasses.replace(_RAMP, **events)
-    return _Engine(model, _SINE_I, 0.005, 1e-9).grid_step((0.0,), t0, t1)
+    return _Engine(model, _SINE_I, 0.005, 1e-9).grid_step(0.0, t0, t1)
 
 
 def test_grid_step_finds_threshold_crossing():
@@ -169,9 +189,9 @@ def test_grid_step_finds_threshold_crossing():
     assert len(pts) == 2
     t_ev, x_ev = pts[0]
     assert t_ev == pytest.approx(0.5, abs=1e-8)
-    assert x_ev[0] >= 0.5  # landed on the crossed side
+    assert x_ev >= 0.5  # landed on the crossed side
     assert pts[-1][0] == pytest.approx(1.0)
-    assert pts[-1][1][0] == pytest.approx(1.0, abs=1e-12)
+    assert pts[-1][1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_step_multiple_thresholds():
@@ -185,7 +205,7 @@ def test_grid_step_splits_at_time_breaks():
     pts = _ramp_ends(0.0, 1.0, breaks=((1.0, (0.3, 0.7)),))
     times = [t for t, _ in pts]
     assert times == pytest.approx([0.3, 0.7, 1.0])
-    assert pts[-1][1][0] == pytest.approx(1.0, abs=1e-12)
+    assert pts[-1][1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_step_no_events_single_step():
@@ -242,7 +262,7 @@ def test_blow_up_detected():
     grow = memristive(
         input_kind=SignalKind.CURRENT,
         state_dim=1,
-        f=lambda x, u, t: (x[0] * x[0],),
+        f=lambda x, u, t: x * x,
         g=lambda x, u, t: 1.0,
         initial_state=(1.0,),
         name="finite-time blowup",
@@ -257,7 +277,7 @@ def test_blow_up_detected():
     "model, start",
     [
         (dataclasses.replace(thermistor(), initial_state=(0.0,)), 0.0),
-        (memristive(SignalKind.CURRENT, 1, scalar_rate(lambda x0, u, t: 1.0 / (t < 0.25)),
+        (memristive(SignalKind.CURRENT, 1, lambda x, u, t: 1.0 / (t < 0.25),
                     g=lambda X, U, T: 1.0, initial_state=(0.0,)), 0.25),
         (memristive(SignalKind.CURRENT, 2, lambda x, u, t: (1.0 / (t < 0.25), 0.0),
                     g=lambda X, U, T: 1.0, initial_state=(0.0, 0.0)), 0.25),
@@ -284,7 +304,7 @@ def test_output_failure_at_the_first_sample_is_a_blow_up():
     bad = memristive(
         input_kind=SignalKind.CURRENT,
         state_dim=1,
-        f=lambda x, u, t: (0.0,),
+        f=lambda x, u, t: 0.0,
         g=lambda x, u, t: math.nan,
         initial_state=(1.0,),
         name="nan output",
@@ -298,7 +318,7 @@ def test_output_failure_at_the_first_sample_is_a_blow_up():
 @pytest.mark.parametrize(
     "model",
     [
-        memristive(SignalKind.CURRENT, 1, lambda x, u, t: (0.0,),
+        memristive(SignalKind.CURRENT, 1, lambda x, u, t: 0.0,
                    g=lambda X, U, T: 1.0 / X[:, 0], initial_state=(0.0,)),
         dataclasses.replace(thermistor(), initial_state=(0.0,)),
     ],
@@ -358,7 +378,7 @@ def test_the_first_row_whose_output_fails_is_the_blow_up(drawn):
         y[divide] = 1.0 / np.zeros(np.count_nonzero(divide))
         return y
 
-    model = OnePort(SignalKind.CURRENT, 1, scalar_rate(lambda x0, u, t: 0.0), output_fn, (0.0,))
+    model = OnePort(SignalKind.CURRENT, 1, lambda x, u, t: 0.0, output_fn, (0.0,))
     bad = [k for k, entry in drawn.items() if not (isinstance(entry, float) and math.isfinite(entry))]
     if not bad:
         assert simulate(model, d, c).y.tobytes() == np.array(table).tobytes()
@@ -406,7 +426,7 @@ def _first_failure(model, drive, controls):
     time order."""
     dt, n = resolve_step(controls, drive.period)
     engine = _Engine(model, drive, dt, _resolve_event_tol(controls, dt))
-    x = tuple(model.initial_state)
+    x = _start(model)
     for k in range(n * controls.record_cycles + 1):
         t = k * dt
         if k:
@@ -414,11 +434,11 @@ def _first_failure(model, drive, controls):
                 x = engine.grid_step(x, (k - 1) * dt, t)[-1][1]
             except OverflowError:
                 return f"state overflow at t = {t}", t
-            if not all(map(math.isfinite, x)):
+            if not np.isfinite(x).all():
                 return f"state became non-finite at t = {t}", t
         try:
             with np.errstate(all="ignore"):
-                (y,) = model.output_fn(np.array([x]), np.array([drive.waveform.value(t)]), np.array([t]))
+                (y,) = model.output_fn(np.array([x], ndmin=2), np.array([drive.waveform.value(t)]), np.array([t]))
         except ArithmeticError as exc:
             return f"output not finite at t = {t}: {exc}", t
         if not math.isfinite(y):
@@ -432,7 +452,7 @@ def _growing(t_bad):
     return memristive(
         SignalKind.CURRENT,
         1,
-        scalar_rate(lambda x0, u, t: x0 * x0),
+        lambda x, u, t: x * x,
         g=lambda X, U, T: np.where(T < t_bad, 1.0, np.inf),
         initial_state=(1.0,),
         name="growing",
@@ -444,7 +464,7 @@ def _cooling(t_bad):
     # exp overflows below about 4.8 K (t > 0.98 s); the state turns inf
     # from t_bad on
     return dataclasses.replace(
-        thermistor(), f=scalar_rate(lambda temp, u, t: -298.0 if t < t_bad else math.inf)
+        thermistor(), f=lambda temp, u, t: -298.0 if t < t_bad else math.inf
     )
 
 
@@ -559,12 +579,17 @@ def _capacitor(r1=3.0, q0=Q0, cap=0.1):
     return capacitor_circuit(CapacitorCircuitParams(SwitchedNetworkParams(q0=q0, r1=r1), cap))
 
 
+def _start(model):
+    """model's initial state as the engine carries it: a float for one state."""
+    return model.initial_state[0] if model.state_dim == 1 else tuple(model.initial_state)
+
+
 def _grid_step_samples(model, drive, controls, k_first, k_last):
     """Samples k_first..k_last of a run stepped by _Engine.grid_step on every
     grid interval from the initial state, their outputs recorded as one chunk."""
     dt, n = resolve_step(controls, drive.period)
     engine = _Engine(model, drive, dt, _resolve_event_tol(controls, dt))
-    x = tuple(model.initial_state)
+    x = _start(model)
     rows = []
     for k in range(k_last):
         if k >= k_first:
@@ -572,9 +597,9 @@ def _grid_step_samples(model, drive, controls, k_first, k_last):
         x = engine.grid_step(x, k * dt, (k + 1) * dt)[-1][1]
     rows.append((k_last * dt, x))
     t = np.array([ti for ti, _ in rows])
-    state = np.array([xi for _, xi in rows])
+    state = np.array([xi for _, xi in rows]).reshape(len(rows), model.state_dim)
     u = np.array([drive.waveform.value(ti) for ti in t])
-    y = _recorded_y(model, [(xi, ui, ti) for (ti, xi), ui in zip(rows, u)])
+    y = _recorded_y(model, list(zip(state, u, t)))
     v, i = terminal_pair(model.input_kind, u, y)
     traj = Trajectory(dt=dt, t=t, u=u, y=y, v=v, i=i, state=state, steps_per_cycle=n)
     return accumulate_integrals(traj)
@@ -598,18 +623,6 @@ _ORACLE_CASES = {
     "capacitor": (_capacitor(), _SINE_I),
     "capacitor-r1-inside-steps": (_capacitor(PiecewiseR1(period=7.0013)), _SINE_I),
     "capacitor-r1-below-dt": (_capacitor(PiecewiseR1(period=0.0031)), _SINE_I),
-    # f written as a bare tuple function, without a float form
-    "tuple-f": (
-        memristive(
-            SignalKind.CURRENT,
-            1,
-            lambda x, u, t: (2.0 * (u * u - x[0]),),
-            g=lambda X, U, T: 1.0 + X[:, 0] * X[:, 0],
-            initial_state=(0.5,),
-            name="tuple f",
-        ),
-        _SINE_I,
-    ),
 }
 
 
@@ -641,8 +654,8 @@ def test_plain_stepping_matches_the_general_path(case, run):
 
 
 def test_a_replaced_f_is_called_at_every_stage():
-    # a function put in place of a model's f (as a tracer does) has no float
-    # form; the one-state loop must still call it, four times per grid step
+    # a function put in place of a model's f (as a tracer does) is the float
+    # form itself; the one-state loop must call it, four times per grid step
     model = thermistor()
     drive = Drive(SignalKind.CURRENT, Sinusoid(amplitude=5e-4, frequency=0.01))
     controls = SimControls(transient_cycles=1, record_cycles=1)
@@ -678,7 +691,7 @@ def test_plain_stepping_blows_up_like_the_general_path():
         _capacitor(PiecewiseR1(period=0.0031 * dt), cap=1e-9),
     ):
         engine = _Engine(model, d, dt, 1e-3 * dt)
-        x = model.initial_state
+        x = _start(model)
         for k in range(n):
             t1 = (k + 1) * dt
             try:
@@ -686,7 +699,7 @@ def test_plain_stepping_blows_up_like_the_general_path():
             except OverflowError:
                 expected = (f"state overflow at t = {t1}", t1)
                 break
-            if not all(math.isfinite(xi) for xi in x):
+            if not np.isfinite(x).all():
                 expected = (f"state became non-finite at t = {t1}", t1)
                 break
         else:
@@ -779,7 +792,7 @@ def test_switch_times_match_the_closed_form(amplitude, frequency, fill):
     def recorded(self, x, *args):
         ends = grid_step(self, x, *args)
         for t, x1 in ends:
-            if bisect_right(thresholds, x1[0]) != bisect_right(thresholds, x[0]):
+            if bisect_right(thresholds, x1) != bisect_right(thresholds, x):
                 crossings.append(t)
             x = x1
         return ends
@@ -815,7 +828,7 @@ def test_chunk_edges_record_every_row(model, drive, intervals):
     dt, _ = resolve_step(controls, drive.period)
     engine = _Engine(model, drive, dt, _resolve_event_tol(controls, dt))
     k0 = 37
-    x = engine.march(tuple(model.initial_state), 0, k0)
+    x = engine.march(_start(model), 0, k0)
     rec = _Record(model, intervals + 1)
     rec.put(0, k0 * dt, x, drive.waveform.value(k0 * dt))
     engine.march(x, k0, k0 + intervals, rec)
@@ -867,8 +880,12 @@ def test_a_step_is_the_literal_tuple_rk4(model, temp, other, amplitude, h, cycle
     # bisection probe) runs the float kernel, and a two-state model the tuple
     # one; a square wave's level switches at 100 s * cycle and 33.37 s later
     # are breaks, where a stage is nudged 1e-9 of the step inside, and at
-    # least 1e-15 of t inside
+    # least 1e-15 of t inside. The oracle steps a tuple, so the thermistor's
+    # float f is boxed for it
     x = (temp, other)[: model.state_dim]
+    scalar = model.state_dim == 1
+    f = (lambda y, u, t: (model.f(y[0], u, t),)) if scalar else model.f
+    x_engine = x[0] if scalar else x
     drive = Drive(SignalKind.CURRENT, SquareWave(amplitude=amplitude, frequency=0.01, duty=0.3337))
     start, switch = 100.0 * cycle, 100.0 * cycle + 33.37
     a = start if nudge_a else (switch - h if nudge_b else start + 1.0)
@@ -878,14 +895,17 @@ def test_a_step_is_the_literal_tuple_rk4(model, temp, other, amplitude, h, cycle
     tb = b - max(1e-9 * h, 1e-15 * abs(b)) if nudge_b else b
     engine = _Engine(model, drive, 1.0, 1e-3)
     try:
-        want = _literal_rk4(model.f, drive.waveform.value, x, ta, a + 0.5 * h, tb, h)
+        want = _literal_rk4(f, drive.waveform.value, x, ta, a + 0.5 * h, tb, h)
     except OverflowError:
         # a long step can throw a stage far enough that the thermistor's
         # exp overflows; the engine's step must fail the same way
         with pytest.raises(OverflowError):
-            engine.step(x, a, b, nudge_a, nudge_b)
+            engine.step(x_engine, a, b, nudge_a, nudge_b)
         return
-    got = engine.step(x, a, b, nudge_a, nudge_b)
+    got = engine.step(x_engine, a, b, nudge_a, nudge_b)
+    if scalar:
+        assert isinstance(got, float)
+        got = (got,)
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
@@ -897,14 +917,14 @@ def test_the_recorded_t_column_is_the_grid(k0, dt, intervals):
     still = memristive(
         SignalKind.CURRENT,
         1,
-        scalar_rate(lambda x0, u, t: 0.0),
+        lambda x, u, t: 0.0,
         g=lambda x, u, t: 1.0,
         initial_state=(0.0,),
         name="still",
     )
     engine = _Engine(still, _SINE_I, dt, 1e-3 * dt)
     rec = _Record(still, intervals + 1)
-    engine.march((0.0,), k0, k0 + intervals, rec)
+    engine.march(0.0, k0, k0 + intervals, rec)
     want = [((k + 1) * dt).hex() for k in range(k0, k0 + intervals)]
     assert [t.hex() for t in rec.t[1:].tolist()] == want
 
@@ -1013,7 +1033,7 @@ def _input_probe():
     probe = memristive(
         SignalKind.CURRENT,
         1,
-        lambda x, u, t: inputs.append(u) or (0.0,),
+        lambda x, u, t: inputs.append(u) or 0.0,
         g=lambda x, u, t: 1.0,
         initial_state=(0.0,),
         name="input probe",
@@ -1031,7 +1051,7 @@ def test_the_last_stage_before_a_duty_break_reads_the_high_level(cycles):
     assert dt == 1 / 2000
     k = cycles * n + n // 2 - 1
     assert (k + 1) * dt == cycles + 0.5
-    _Engine(probe, _ONE_HZ_SQUARE, dt, 1e-3 * dt).grid_step((0.0,), k * dt, (k + 1) * dt)
+    _Engine(probe, _ONE_HZ_SQUARE, dt, 1e-3 * dt).grid_step(0.0, k * dt, (k + 1) * dt)
     assert inputs == [1.0] * 4
 
 
@@ -1055,7 +1075,7 @@ def test_every_stage_of_a_sub_step_reads_one_level(frequency, duty, cycles):
     k = math.floor((cycles + duty) * n)
     for j in range(k - 1, k + 2):
         inputs.clear()
-        ends = engine.grid_step((0.0,), j * dt, (j + 1) * dt)
+        ends = engine.grid_step(0.0, j * dt, (j + 1) * dt)
         assert len(inputs) == 4 * len(ends)
         stages = [inputs[4 * s : 4 * s + 4] for s in range(len(ends))]
         assert all(len(set(levels)) == 1 for levels in stages), stages
