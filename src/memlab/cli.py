@@ -158,15 +158,18 @@ def _out_base(args) -> Path:
 def _output_paths(args, config: ExperimentConfig) -> tuple[Path, Path | None]:
     """The csv and json paths, relative ones under the output base, with
     their directories made; refused before anything is made when the json
-    path names the csv file."""
+    path names the csv file or either names the description file."""
     base = _out_base(args)
     csv_path = base / config.csv_path
     json_path = None if config.json_path is None else base / config.json_path
     if json_path is not None and json_path.resolve() == csv_path.resolve():
         raise ConfigError(f"the json output {str(json_path)!r} is the csv output {str(csv_path)!r}")
-    for path in (csv_path, json_path):
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
+    paths = [path for path in (csv_path, json_path) if path is not None]
+    for path in paths:
+        if args.file and path.resolve() == Path(args.file).resolve():
+            raise ConfigError(f"the output {str(path)!r} is the description file {args.file!r}")
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
     return csv_path, json_path
 
 

@@ -148,7 +148,7 @@ class OnePort:
 
     For one state, f takes and returns a float, f(x0, u, t) -> dx0/dt; for
     more, f takes the state tuple and returns the tuple of its derivatives.
-    initial_state is a tuple either way.
+    initial_state is a tuple either way, and its length is the state size.
 
     output_fn works on columns of samples: it takes one state per row of the
     2-D array X, with that row's input in U and time in T, and returns one
@@ -156,32 +156,36 @@ class OnePort:
     a one-port whose output does not factor that way (the capacitor chain)
     passes its own output_fn. threshold_component/thresholds and breaks are
     event metadata for the integrator: crossings of a monitored state
-    component, and periodic time discontinuities as (period, offsets) pairs,
-    where step splitting is required.
+    component (the first unless set), and periodic time discontinuities as
+    (period, offsets) pairs, where step splitting is required.
     """
 
     input_kind: SignalKind
-    state_dim: int
     f: StateFn | RateFn
     output_fn: ColumnFn
     initial_state: tuple[float, ...]
     name: str = "one-port"
-    threshold_component: int | None = None
+    threshold_component: int = 0
     thresholds: tuple[float, ...] = ()
     breaks: tuple[tuple[float, tuple[float, ...]], ...] = ()
 
     def __post_init__(self):
+        if not self.initial_state:
+            raise ConfigError(f"model {self.name!r} has an empty initial state")
         component = self.threshold_component
-        if component is not None and component not in range(self.state_dim):
+        if self.thresholds and component not in range(self.state_dim):
             raise ConfigError(
                 f"threshold_component {component!r} is not a state index "
                 f"of model {self.name!r} ({self.state_dim} components)"
             )
 
+    @property
+    def state_dim(self) -> int:
+        return len(self.initial_state)
+
 
 def memristive(
     input_kind: SignalKind,
-    state_dim: int,
     f: StateFn | RateFn,
     g: ColumnFn,
     initial_state: tuple[float, ...],
@@ -199,7 +203,7 @@ def memristive(
     def output_fn(X, U, T):
         return g(X, U, T) * U
 
-    return OnePort(input_kind, state_dim, f, output_fn, initial_state, name, **events)
+    return OnePort(input_kind, f, output_fn, initial_state, name, **events)
 
 
 # ---------------------------------------------------------------------------

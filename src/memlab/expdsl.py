@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from typing import get_type_hints
 
 from .core import ConfigError, Drive, SignalKind, Sinusoid, SquareWave
@@ -62,23 +62,11 @@ _R1_KEYS = {f"r1_{f.name}": f.name for f in fields(models.PiecewiseR1)}
 
 
 @functools.cache
-def _typed_fields(cls) -> tuple:
-    """(field, resolved type annotation) for each field of a dataclass."""
-    types = get_type_hints(cls)
-    return tuple((f, types[f.name]) for f in fields(cls))
-
-
 def _keys(cls) -> dict[str, tuple[type, object]]:
     """key -> (type, default or MISSING) for each field of a parameter or
-    controls dataclass; a field that holds another one (the capacitor's base
-    chain) contributes that one's keys."""
-    out: dict[str, tuple[type, object]] = {}
-    for f, kind in _typed_fields(cls):
-        if is_dataclass(kind):
-            out.update(_keys(kind))
-        else:
-            out[f.name] = (kind, f.default)
-    return out
+    controls dataclass."""
+    types = get_type_hints(cls)
+    return {f.name: (types[f.name], f.default) for f in fields(cls)}
 
 
 class ParseError(ConfigError):
@@ -220,7 +208,7 @@ class _Parser:
         name = self._expect("ident", "experiment name").text
 
         seen: dict[str, Token] = {}
-        model_kind = None
+        model_tok = None
         model_raw: dict = {}
         drive_spec = None
         sim_raw: dict = {}
@@ -240,10 +228,9 @@ class _Parser:
             seen[tok.text] = tok
 
             if tok.text == "model":
-                kind_tok = self._expect("ident", "model kind")
-                if kind_tok.text not in models.MODELS:
-                    self._fail(f"unknown model kind {kind_tok.text!r}", kind_tok)
-                model_kind = kind_tok.text
+                model_tok = self._expect("ident", "model kind")
+                if model_tok.text not in models.MODELS:
+                    self._fail(f"unknown model kind {model_tok.text!r}", model_tok)
                 model_raw = self._kv_block("model")
             elif tok.text == "drive":
                 kind_tok = self._expect("ident", "'current' or 'voltage'")
@@ -266,13 +253,20 @@ class _Parser:
                     self._next()
                     json_path = self._expect("string", "json path as a quoted string").text
 
-        if model_kind is None:
+        if model_tok is None:
             raise ParseError("missing model block")
         if drive_spec is None:
             raise ParseError("missing drive block")
 
+        model_kind = model_tok.text
         drive = self._build_drive(model_kind, *drive_spec)
-        params = self._normalize_model(model_kind, model_raw, drive)
+        try:
+            params = self._normalize_model(model_kind, model_raw, drive)
+            _params(models.MODELS[model_kind].params, params)
+        except ParseError:
+            raise
+        except ConfigError as exc:
+            self._fail(str(exc), model_tok)
         controls = self._build_controls(sim_raw, seen.get("sim"))
         for analysis, tok in analyses.items():
             try:
@@ -369,7 +363,7 @@ class _Parser:
         return out
 
     def _normalize_model(self, kind: str, raw: dict, drive: Drive) -> dict:
-        keys = _keys(models.MODELS[kind].params)
+        keys = dict(_keys(models.MODELS[kind].params))
         if "r1" in keys:
             keys.update(dict.fromkeys(_R1_KEYS, (float, MISSING)))
         params = self._typed(raw, keys, f"model {kind!r}")
@@ -397,7 +391,7 @@ class _Parser:
             omega = 2.0 * math.pi * drive.frequency
             q0 = 2.0 * drive.amplitude / ((n + 1) * omega)
             if q0 <= 0.0:
-                raise ParseError(
+                raise ConfigError(
                     "cannot derive q0 from a zero-amplitude drive; set q0 explicitly")
             params["q0"] = q0
             self.warnings.append(
@@ -430,10 +424,8 @@ def build_model(config: ExperimentConfig):
 def _params(cls, values: dict):
     """An instance of a parameter dataclass from a model block's flat keys."""
     kwargs = {}
-    for f, kind in _typed_fields(cls):
-        if is_dataclass(kind):
-            kwargs[f.name] = _params(kind, values)
-        elif f.name in values:
+    for f in fields(cls):
+        if f.name in values:
             kwargs[f.name] = values[f.name]
         elif f.name == "r1":
             kwargs["r1"] = models.PiecewiseR1(

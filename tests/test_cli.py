@@ -294,13 +294,13 @@ def test_n_switches_over_the_bound_exits_2(tmp_path, capsys):
             f"model switched {{ q0 = 1 C  n_switches = {n} }}\n"
             "drive current sinusoid { amplitude = 1 A  frequency = 1 Hz }\n"
         )
-        config = parse_experiment(src.read_text())
         if built:
             # built, not run: MAX_SWITCHES thresholds of the ladder
+            config = parse_experiment(src.read_text())
             assert len(build_model(config).thresholds) == MAX_SWITCHES
         else:
-            with pytest.raises(ConfigError, match="n_switches must be in"):
-                build_model(config)
+            with pytest.raises(ConfigError, match="line 2, col 7: n_switches must be in"):
+                parse_experiment(src.read_text())
     assert main(["run", str(src), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"n_switches must be in 1..{MAX_SWITCHES}, got {MAX_SWITCHES + 1}" in err
@@ -319,7 +319,8 @@ def test_an_n_switches_out_of_range_exits_2_when_q0_is_derived(tmp_path, capsys,
         "drive current sinusoid { amplitude = 1 A  frequency = 1 Hz }\n"
     )
     assert main(["run", str(src), "--out", str(tmp_path)]) == 2
-    assert f"n_switches must be in 1..{MAX_SWITCHES}, got {n}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"line 2, col 7: n_switches must be in 1..{MAX_SWITCHES}, got {n}" in err
     assert not (tmp_path / "chain.csv").exists()
 
 
@@ -399,20 +400,32 @@ def test_a_json_path_that_is_the_csv_path_exits_2(command, json_path, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("output", ['csv "exp.dsl"', 'csv "o.csv" json "exp.dsl"', 'csv "./exp.dsl"'])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_output_path_that_is_the_description_exits_2(command, output, tmp_path, capsys):
+    # the outputs would replace the description they were read from: refused
+    # before simulating, and the file keeps its bytes
+    text = FAST_DSL if command == "run" else preset_source("fig12_13_sweep")
+    src = tmp_path / "exp.dsl"
+    src.write_text(text.rsplit("output", 1)[0] + f"output {output}\n")
+    before = src.read_bytes()
+    assert main([command, str(src), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "is the description file" in captured.err and "wrote" not in captured.out
+    assert src.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [src]
+
+
 # ---------------------------------------------------------------------------
 # main on generated descriptions
 
 
 def _field_types(cls):
-    """key -> type for the fields of a parameter dataclass, a nested one's
-    flattened in as the model block spells them."""
-    out = {}
-    for name, kind in typing.get_type_hints(cls).items():
-        if dataclasses.is_dataclass(kind):
-            out.update(_field_types(kind))
-        else:
-            out[name] = float if name == "r1" else kind  # r1 may be a PiecewiseR1
-    return out
+    """key -> type for the fields of a parameter dataclass."""
+    return {
+        name: float if name == "r1" else kind  # r1 may be a PiecewiseR1
+        for name, kind in typing.get_type_hints(cls).items()
+    }
 
 
 # magnitudes from 1e-300 to 1e300, most of them near 1

@@ -148,7 +148,6 @@ def test_terminal_pair_orientation():
 def _resistor(r=2.0):
     return memristive(
         input_kind=SignalKind.CURRENT,
-        state_dim=1,
         f=lambda x, u, t: (0.0,),
         g=lambda x, u, t: r,
         initial_state=(0.0,),
@@ -166,10 +165,15 @@ def test_output_calls_a_replaced_output_fn():
     assert _recorded_y(m, [((0.0,), 3.0, 0.0)])[0] == 42.0
 
 
+def test_the_state_size_is_the_initial_state_length():
+    assert _resistor().state_dim == 1
+    with pytest.raises(ConfigError, match="empty initial state"):
+        dataclasses.replace(_resistor(), initial_state=())
+
+
 def test_generic_one_port_output():
     p = OnePort(
         input_kind=SignalKind.CURRENT,
-        state_dim=2,
         f=lambda x, u, t: (0.0, 0.0),
         output_fn=lambda X, U, T: X[:, 0] + 2.0 * U,
         initial_state=(1.0, 0.0),

@@ -429,3 +429,28 @@ def test_values_are_checked_against_the_field_types(model, sim, needle):
             f"drive {kind} sinusoid {{ amplitude = 1 A  frequency = 1 Hz }}\n{sim}"
         )
     assert needle in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "model, amplitude, needle",
+    [
+        ("thermistor { r0 = -1 }", 1, "thermistor parameter r0 must be > 0"),
+        (
+            "switched { q0 = 0.3  r1_high = -3  r1_low = 1  r1_period = 10 }",
+            1,
+            "piecewise r1 high must be > 0",
+        ),
+        ("capacitor { q0 = 0.3  cap = 0 }", 1, "cap must be > 0"),
+        ("switched { }", 0, "cannot derive q0 from a zero-amplitude drive; set q0 explicitly"),
+    ],
+)
+def test_a_parameter_out_of_range_is_a_parse_error_at_the_model_kind(model, amplitude, needle):
+    # the parameter object is built while parsing, so its own range check
+    # fails with the model kind's position (line 2, col 7), not in build_model
+    with pytest.raises(ParseError) as exc:
+        parse_experiment(
+            f"experiment t\nmodel {model}\n"
+            f"drive current sinusoid {{ amplitude = {amplitude} A  frequency = 0.1 Hz }}\n"
+        )
+    assert str(exc.value) == f"line 2, col 7: {needle}"
+    assert (exc.value.line, exc.value.col) == (2, 7)

@@ -79,6 +79,11 @@ def test_resolve_step_rounds_to_even_divisor():
     assert dt <= 0.03 * (1 + 1e-12)
 
 
+def test_resolve_step_rounds_an_odd_count_up():
+    # 10 / 0.0301 = 332.2 steps rounds up to 333, which is odd: one more
+    assert resolve_step(SimControls(dt=0.0301), 10.0) == (10.0 / 334, 334)
+
+
 def test_resolve_step_caps_coarse_steps():
     with pytest.raises(ConfigError):
         resolve_step(SimControls(dt=0.051), 10.0)
@@ -170,7 +175,6 @@ def test_a_non_finite_initial_state_is_a_config_error(build, given, bad):
 # dx/dt = 1, which RK4 integrates exactly
 _RAMP = memristive(
     SignalKind.CURRENT,
-    1,
     lambda x, u, t: 1.0,
     g=lambda X, U, T: 1.0,
     initial_state=(0.0,),
@@ -192,6 +196,14 @@ def test_grid_step_finds_threshold_crossing():
     assert x_ev >= 0.5  # landed on the crossed side
     assert pts[-1][0] == pytest.approx(1.0)
     assert pts[-1][1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_thresholds_monitor_the_first_component_unless_one_is_set():
+    # a one-port that gives thresholds and leaves the component unset has
+    # them crossed, not dropped
+    pts = _ramp_ends(0.0, 1.0, thresholds=(0.5,))
+    assert pts == _ramp_ends(0.0, 1.0, threshold_component=0, thresholds=(0.5,))
+    assert len(pts) == 2
 
 
 def test_grid_step_multiple_thresholds():
@@ -261,7 +273,6 @@ def test_simulate_is_deterministic():
 def test_blow_up_detected():
     grow = memristive(
         input_kind=SignalKind.CURRENT,
-        state_dim=1,
         f=lambda x, u, t: x * x,
         g=lambda x, u, t: 1.0,
         initial_state=(1.0,),
@@ -274,28 +285,31 @@ def test_blow_up_detected():
 
 
 @pytest.mark.parametrize(
-    "model, start",
+    "model, start, error",
     [
-        (dataclasses.replace(thermistor(), initial_state=(0.0,)), 0.0),
-        (memristive(SignalKind.CURRENT, 1, lambda x, u, t: 1.0 / (t < 0.25),
-                    g=lambda X, U, T: 1.0, initial_state=(0.0,)), 0.25),
-        (memristive(SignalKind.CURRENT, 2, lambda x, u, t: (1.0 / (t < 0.25), 0.0),
-                    g=lambda X, U, T: 1.0, initial_state=(0.0, 0.0)), 0.25),
+        (dataclasses.replace(thermistor(), initial_state=(0.0,)), 0.0, "float division by zero"),
+        (memristive(SignalKind.CURRENT, lambda x, u, t: 1.0 / (t < 0.25),
+                    g=lambda X, U, T: 1.0, initial_state=(0.0,)), 0.25, "float division by zero"),
+        (memristive(SignalKind.CURRENT, lambda x, u, t: (1.0 / (t < 0.25), 0.0),
+                    g=lambda X, U, T: 1.0, initial_state=(0.0, 0.0)), 0.25, "float division by zero"),
+        (memristive(SignalKind.CURRENT, lambda x, u, t: math.exp(1000.0) if t >= 0.25 else 0.0,
+                    g=lambda X, U, T: 1.0, initial_state=(0.0,)), 0.25, "math range error"),
     ],
-    ids=["thermistor-at-0-K", "float-kernel", "tuple-kernel"],
+    ids=["thermistor-at-0-K", "float-kernel", "tuple-kernel", "overflow"],
 )
-def test_a_failing_state_derivative_is_a_blow_up_at_its_interval_end(model, start):
-    # the derivative divides by zero at every t >= start: the thermistor at
-    # 0 K by its temperature in the first transient step (which the splitter
-    # takes), the others in the loop's event-free inline steps. The blow-up
-    # is at the end of the first grid interval whose last stage reaches start
+def test_a_failing_state_derivative_is_a_blow_up_at_its_interval_end(model, start, error):
+    # the derivative divides by zero, or overflows, at every t >= start: the
+    # thermistor at 0 K by its temperature in the first transient step (which
+    # the splitter takes), the others in the loop's event-free inline steps.
+    # The blow-up is at the end of the first grid interval whose last stage
+    # reaches start, and an OverflowError reads like any ArithmeticError
     drive = Drive(SignalKind.CURRENT, Sinusoid(1.0, 1.0))
     dt, _ = resolve_step(SimControls(), drive.period)
     t1 = next((k + 1) * dt for k in range(10**6) if (k + 1) * dt >= start)
     with pytest.raises(BlowUpError) as exc:
         simulate(model, drive, SimControls())
     assert (str(exc.value), exc.value.time) == (
-        f"state derivative failed at t = {t1}: float division by zero",
+        f"state derivative failed at t = {t1}: {error}",
         t1,
     )
 
@@ -303,7 +317,6 @@ def test_a_failing_state_derivative_is_a_blow_up_at_its_interval_end(model, star
 def test_output_failure_at_the_first_sample_is_a_blow_up():
     bad = memristive(
         input_kind=SignalKind.CURRENT,
-        state_dim=1,
         f=lambda x, u, t: 0.0,
         g=lambda x, u, t: math.nan,
         initial_state=(1.0,),
@@ -318,7 +331,7 @@ def test_output_failure_at_the_first_sample_is_a_blow_up():
 @pytest.mark.parametrize(
     "model",
     [
-        memristive(SignalKind.CURRENT, 1, lambda x, u, t: 0.0,
+        memristive(SignalKind.CURRENT, lambda x, u, t: 0.0,
                    g=lambda X, U, T: 1.0 / X[:, 0], initial_state=(0.0,)),
         dataclasses.replace(thermistor(), initial_state=(0.0,)),
     ],
@@ -378,7 +391,7 @@ def test_the_first_row_whose_output_fails_is_the_blow_up(drawn):
         y[divide] = 1.0 / np.zeros(np.count_nonzero(divide))
         return y
 
-    model = OnePort(SignalKind.CURRENT, 1, lambda x, u, t: 0.0, output_fn, (0.0,))
+    model = OnePort(SignalKind.CURRENT, lambda x, u, t: 0.0, output_fn, (0.0,))
     bad = [k for k, entry in drawn.items() if not (isinstance(entry, float) and math.isfinite(entry))]
     if not bad:
         assert simulate(model, d, c).y.tobytes() == np.array(table).tobytes()
@@ -432,8 +445,8 @@ def _first_failure(model, drive, controls):
         if k:
             try:
                 x = engine.grid_step(x, (k - 1) * dt, t)[-1][1]
-            except OverflowError:
-                return f"state overflow at t = {t}", t
+            except ArithmeticError as exc:
+                return f"state derivative failed at t = {t}: {exc}", t
             if not np.isfinite(x).all():
                 return f"state became non-finite at t = {t}", t
         try:
@@ -451,7 +464,6 @@ def _growing(t_bad):
     # factor, in column form, turns inf from t_bad on
     return memristive(
         SignalKind.CURRENT,
-        1,
         lambda x, u, t: x * x,
         g=lambda X, U, T: np.where(T < t_bad, 1.0, np.inf),
         initial_state=(1.0,),
@@ -497,8 +509,8 @@ def test_an_output_that_overflows_is_a_blow_up_at_its_first_sample():
     # |u| passes the float range; the state does not depend on r_branch, so a
     # run at r_branch = 1 gives the samples the overflowing output is taken at
     def chain(r_branch):
-        base = SwitchedNetworkParams(q0=Q0, r1=3.0, r_branch=r_branch, n_switches=10)
-        return capacitor_circuit(CapacitorCircuitParams(base, cap=0.1))
+        return capacitor_circuit(
+            CapacitorCircuitParams(q0=Q0, r1=3.0, r_branch=r_branch, n_switches=10, cap=0.1))
 
     d = Drive(SignalKind.CURRENT, Sinusoid(amplitude=10.0, frequency=0.1))
     c = SimControls(transient_cycles=0, record_cycles=1)
@@ -576,7 +588,7 @@ def _switched(r1=1.0, q0=Q0):
 
 
 def _capacitor(r1=3.0, q0=Q0, cap=0.1):
-    return capacitor_circuit(CapacitorCircuitParams(SwitchedNetworkParams(q0=q0, r1=r1), cap))
+    return capacitor_circuit(CapacitorCircuitParams(q0=q0, r1=r1, cap=cap))
 
 
 def _start(model):
@@ -696,8 +708,8 @@ def test_plain_stepping_blows_up_like_the_general_path():
             t1 = (k + 1) * dt
             try:
                 x = engine.grid_step(x, k * dt, t1)[-1][1]
-            except OverflowError:
-                expected = (f"state overflow at t = {t1}", t1)
+            except ArithmeticError as exc:
+                expected = (f"state derivative failed at t = {t1}: {exc}", t1)
                 break
             if not np.isfinite(x).all():
                 expected = (f"state became non-finite at t = {t1}", t1)
@@ -856,7 +868,6 @@ def _literal_rk4(f, value, x, ta, tm, tb, h):
 # two states whose derivative reads the time at every stage
 _TWO_STATE = OnePort(
     SignalKind.CURRENT,
-    2,
     lambda x, u, t: (u * math.cos(t) - x[1], x[0] * math.sin(t)),
     lambda X, U, T: X[:, 0] + U,
     (0.0, 0.0),
@@ -916,7 +927,6 @@ def test_the_recorded_t_column_is_the_grid(k0, dt, intervals):
     # grid point (k + 1) * dt that the loop steps to
     still = memristive(
         SignalKind.CURRENT,
-        1,
         lambda x, u, t: 0.0,
         g=lambda x, u, t: 1.0,
         initial_state=(0.0,),
@@ -1032,7 +1042,6 @@ def _input_probe():
     inputs = []
     probe = memristive(
         SignalKind.CURRENT,
-        1,
         lambda x, u, t: inputs.append(u) or 0.0,
         g=lambda x, u, t: 1.0,
         initial_state=(0.0,),
