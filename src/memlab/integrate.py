@@ -127,42 +127,32 @@ def check_compatible(model, drive: Drive) -> None:
         )
 
 
-def _scalar_rk4(f):
-    """One classical RK4 step of a one-state model on its float derivative
-    f(x, u, t), taking and returning a float; the stages and inputs are
-    given, so the caller decides where they sit."""
+def _rk4(f, n):
+    """One classical RK4 step of an n-state model on f(x, u, t), compiled
+    from one template written out component by component (# stands for the
+    component's index); the stages and inputs are given, so the caller
+    decides where they sit. One state steps a float on its float f. A larger
+    state steps a tuple, and each f result is unpacked into exactly n
+    components, so a derivative of another length raises ValueError. Every
+    component takes the same operations in the same order."""
 
-    def rk4(x, u1, um, u4, ta, tm, tb, h):
-        c1 = f(x, u1, ta)
-        h2 = 0.5 * h
-        c2 = f(x + h2 * c1, um, tm)
-        c3 = f(x + h2 * c2, um, tm)
-        c4 = f(x + h * c3, u4, tb)
-        h6 = h / 6.0
-        return x + h6 * (c1 + 2.0 * (c2 + c3) + c4)
+    def state(term):
+        each = ", ".join(term.replace("#", str(i)) for i in range(n))
+        return each if n == 1 else f"({each})"
 
-    return rk4
-
-
-def _tuple_rk4(f):
-    """The same step on a state tuple and f(x, u, t) -> tuple; each component
-    takes the same operations in the same order as the float step."""
-
-    def rk4(x, u1, um, u4, ta, tm, tb, h):
-        k1 = f(x, u1, ta)
-        h2 = 0.5 * h
-        k2 = f(tuple([xi + h2 * ki for xi, ki in zip(x, k1)]), um, tm)
-        k3 = f(tuple([xi + h2 * ki for xi, ki in zip(x, k2)]), um, tm)
-        k4 = f(tuple([xi + h * ki for xi, ki in zip(x, k3)]), u4, tb)
-        h6 = h / 6.0
-        return tuple(
-            [
-                xi + h6 * (c1 + 2.0 * (c2 + c3) + c4)
-                for xi, c1, c2, c3, c4 in zip(x, k1, k2, k3, k4)
-            ]
-        )
-
-    return rk4
+    src = f"""def rk4(x, u1, um, u4, ta, tm, tb, h):
+    {state('x#')} = x
+    {state('a#')} = f(x, u1, ta)
+    h2 = 0.5 * h
+    {state('b#')} = f({state('x# + h2 * a#')}, um, tm)
+    {state('c#')} = f({state('x# + h2 * b#')}, um, tm)
+    {state('d#')} = f({state('x# + h * c#')}, u4, tb)
+    h6 = h / 6.0
+    return {state('x# + h6 * (a# + 2.0 * (b# + c#) + d#)')}
+"""
+    scope = {"f": f}
+    exec(compile(src, f"<rk4 on {n} states>", "exec"), scope)
+    return scope["rk4"]
 
 
 class _Engine:
@@ -179,14 +169,12 @@ class _Engine:
         # threshold is never crossed
         thresholds = tuple(sorted(th for th in model.thresholds if not math.isnan(th)))
         self.sorted_thresholds = thresholds
-        # one RK4 kernel per state kind: a one-state model steps a float on its
-        # float f, a larger state steps a tuple on its tuple f. side(x) is the
+        # one RK4 kernel, written out for the state size. side(x) is the
         # count of thresholds at or below x's monitored component
+        self.rk4 = _rk4(model.f, model.state_dim)
         if model.state_dim == 1:
-            self.rk4 = _scalar_rk4(model.f)
             self.side = partial(bisect_right, thresholds)
         else:
-            self.rk4 = _tuple_rk4(model.f)
             monitor = model.threshold_component
             self.side = lambda x: bisect_right(thresholds, x[monitor])
 
@@ -298,7 +286,7 @@ class _Engine:
         # step's first. A trial that crosses a threshold is handed to
         # grid_step as its first step. Every other interval, the first one
         # included, goes to grid_step. A one-state model's float state steps
-        # inline on its float f; a larger state goes through the tuple kernel.
+        # inline on its float f; a larger state goes through the rk4 kernel.
         dt = self.dt
         columns = self.waveform.columns
         grid_step = self.grid_step

@@ -874,26 +874,44 @@ _TWO_STATE = OnePort(
     name="two-state",
 )
 
+# three states, each derivative reading the time and every component
+_THREE_STATE = OnePort(
+    SignalKind.CURRENT,
+    lambda x, u, t: (
+        u * math.cos(t) - x[1] * x[2],
+        x[0] * math.sin(t) - x[2],
+        x[0] * x[1] - math.cos(t) * x[2],
+    ),
+    lambda X, U, T: X[:, 0] + U,
+    (0.0, 0.0, 0.0),
+    name="three-state",
+)
 
-@pytest.mark.parametrize("model", [thermistor(), _TWO_STATE], ids=["float", "tuple"])
+
+@pytest.mark.parametrize(
+    "model", [thermistor(), _TWO_STATE, _THREE_STATE], ids=["float", "tuple", "triple"]
+)
 @settings(max_examples=300)
 @given(
     temp=st.floats(250.0, 450.0),
     other=st.floats(-1.0, 1.0),
+    third=st.floats(-1.0, 1.0),
     amplitude=st.floats(0.0, 2e-3),
     h=st.floats(1e-6, 5.0),
     cycle=st.integers(0, 10**5),
     nudge_a=st.booleans(),
     nudge_b=st.booleans(),
 )
-def test_a_step_is_the_literal_tuple_rk4(model, temp, other, amplitude, h, cycle, nudge_a, nudge_b):
+def test_a_step_is_the_literal_tuple_rk4(
+    model, temp, other, third, amplitude, h, cycle, nudge_a, nudge_b
+):
     # the thermistor has a float derivative, so step (and with it every
-    # bisection probe) runs the float kernel, and a two-state model the tuple
-    # one; a square wave's level switches at 100 s * cycle and 33.37 s later
-    # are breaks, where a stage is nudged 1e-9 of the step inside, and at
-    # least 1e-15 of t inside. The oracle steps a tuple, so the thermistor's
-    # float f is boxed for it
-    x = (temp, other)[: model.state_dim]
+    # bisection probe) runs the kernel written for a float, and a larger
+    # state the one written for its size; a square wave's level switches at
+    # 100 s * cycle and 33.37 s later are breaks, where a stage is nudged
+    # 1e-9 of the step inside, and at least 1e-15 of t inside. The oracle
+    # steps a tuple, so the thermistor's float f is boxed for it
+    x = (temp, other, third)[: model.state_dim]
     scalar = model.state_dim == 1
     f = (lambda y, u, t: (model.f(y[0], u, t),)) if scalar else model.f
     x_engine = x[0] if scalar else x
@@ -918,6 +936,30 @@ def test_a_step_is_the_literal_tuple_rk4(model, temp, other, amplitude, h, cycle
         assert isinstance(got, float)
         got = (got,)
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        (lambda x, u, t: (u, -x[0], x[1]), r"too many values to unpack \(expected 2\b"),
+        (lambda x, u, t: (u,), r"not enough values to unpack \(expected 2, got 1\)"),
+    ],
+    ids=["three-for-two", "one-for-two"],
+)
+def test_a_derivative_of_the_wrong_length_fails_at_the_first_step(rate, message):
+    # each f result is unpacked into exactly one derivative per component: a
+    # longer one is not truncated and a shorter one not broadcast into the
+    # recorded state columns, it fails on the first f call
+    calls = []
+
+    def f(x, u, t):
+        calls.append(t)
+        return rate(x, u, t)
+
+    model = OnePort(SignalKind.CURRENT, f, lambda X, U, T: X[:, 0] + U, (0.0, 0.0), name="misfit")
+    with pytest.raises(ValueError, match=message):
+        simulate(model, _SINE_I, SimControls(transient_cycles=0, record_cycles=1))
+    assert calls == [0.0]
 
 
 @settings(max_examples=100, deadline=None)
