@@ -7,10 +7,12 @@ factorization and gives OnePort an output map of its own.
 
 from __future__ import annotations
 
+import ast
+import builtins
 import enum
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Callable
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -143,11 +145,38 @@ ColumnFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
+class Rate:
+    """A derivative as one Python expression in x, u and t; names binds what
+    else it reads, builtins aside. Calling it runs it, compiled once; the RK4
+    kernel writes it into each stage instead. A source that is not one
+    expression, or reads a name neither bound nor builtin, is a ConfigError."""
+
+    source: str
+    names: Mapping[str, object] = field(default_factory=dict)
+    fn: RateFn = field(init=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            tree = ast.parse(self.source, mode="eval")
+        except SyntaxError as exc:
+            raise ConfigError(f"rate {self.source!r} is not an expression: {exc.msg}") from None
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if unbound := sorted(read - {"x", "u", "t", *self.names, *vars(builtins)}):
+            raise ConfigError(f"rate {self.source!r} reads unbound names {', '.join(unbound)}")
+        code = compile(f"lambda x, u, t: {ast.unparse(tree)}", "<rate>", "eval")
+        object.__setattr__(self, "fn", eval(code, dict(self.names)))
+
+    def __call__(self, x, u, t):
+        return self.fn(x, u, t)
+
+
+@dataclass(frozen=True, eq=False)
 class OnePort:
     """State equation dx/dt = f(x, u, t) with output Y = output_fn(X, U, T).
 
     For one state, f takes and returns a float, f(x0, u, t) -> dx0/dt; for
     more, f takes the state tuple and returns the tuple of its derivatives.
+    Either may be a Rate, whose expression the RK4 kernel steps inline.
     initial_state is a tuple either way, and its length is the state size.
 
     output_fn works on columns of samples: it takes one state per row of the
@@ -161,7 +190,7 @@ class OnePort:
     """
 
     input_kind: SignalKind
-    f: StateFn | RateFn
+    f: StateFn | RateFn | Rate
     output_fn: ColumnFn
     initial_state: tuple[float, ...]
     name: str = "one-port"
@@ -186,7 +215,7 @@ class OnePort:
 
 def memristive(
     input_kind: SignalKind,
-    f: StateFn | RateFn,
+    f: StateFn | RateFn | Rate,
     g: ColumnFn,
     initial_state: tuple[float, ...],
     name: str = "one-port",

@@ -8,6 +8,7 @@ untouched; all splitting is internal to a grid step.
 
 from __future__ import annotations
 
+import ast
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from .core import (
     ConfigError,
     Drive,
     MemlabError,
-    SignalKind,
+    Rate,
     Trajectory,
     accumulate_integrals,
     check_finite,
@@ -27,7 +28,7 @@ from .core import (
 )
 
 
-# the most grid steps one run may take: about 42 s at 2.1 us a one-state step
+# the most grid steps one run may take: about 39 s at 1.95 us a one-state step
 # (fig6_7 on a 2-vCPU Xeon, CPython 3.11), and a record of at most 1 GB
 MAX_GRID_STEPS = 20_000_000
 
@@ -130,27 +131,41 @@ def check_compatible(model, drive: Drive) -> None:
 def _rk4(f, n):
     """One classical RK4 step of an n-state model on f(x, u, t), compiled
     from one template written out component by component (# stands for the
-    component's index); the stages and inputs are given, so the caller
-    decides where they sit. One state steps a float on its float f. A larger
-    state steps a tuple, and each f result is unpacked into exactly n
-    components, so a derivative of another length raises ValueError. Every
-    component takes the same operations in the same order."""
+    component's index); the caller gives the stages and inputs. One state
+    steps a float, a larger state a tuple, each rate unpacked into exactly n
+    components, so a derivative of another length raises ValueError. A stage
+    writes in a Rate's expression, or the call f(x, u, t) for any other f,
+    with x, u and t renamed to the stage's state, input and time and each
+    bound name to "_" + name, which no name of the template starts with.
+    Every component takes the same operations in the same order."""
+    rate = f if isinstance(f, Rate) else Rate("f(x, u, t)", {"f": f})
+    scope = {"_" + name: value for name, value in rate.names.items()}
 
     def state(term):
         each = ", ".join(term.replace("#", str(i)) for i in range(n))
         return each if n == 1 else f"({each})"
 
+    def derivative(x, u, t):
+        renamed = {**{name: "_" + name for name in rate.names}, "x": x, "u": u, "t": t}
+        tree = ast.parse(rate.source, mode="eval")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                node.id = renamed.get(node.id, node.id)
+        return ast.unparse(tree)
+
     src = f"""def rk4(x, u1, um, u4, ta, tm, tb, h):
     {state('x#')} = x
-    {state('a#')} = f(x, u1, ta)
+    {state('a#')} = {derivative('x', 'u1', 'ta')}
     h2 = 0.5 * h
-    {state('b#')} = f({state('x# + h2 * a#')}, um, tm)
-    {state('c#')} = f({state('x# + h2 * b#')}, um, tm)
-    {state('d#')} = f({state('x# + h * c#')}, u4, tb)
+    xb = {state('x# + h2 * a#')}
+    {state('b#')} = {derivative('xb', 'um', 'tm')}
+    xc = {state('x# + h2 * b#')}
+    {state('c#')} = {derivative('xc', 'um', 'tm')}
+    xd = {state('x# + h * c#')}
+    {state('d#')} = {derivative('xd', 'u4', 'tb')}
     h6 = h / 6.0
     return {state('x# + h6 * (a# + 2.0 * (b# + c#) + d#)')}
 """
-    scope = {"f": f}
     exec(compile(src, f"<rk4 on {n} states>", "exec"), scope)
     return scope["rk4"]
 
@@ -174,9 +189,11 @@ class _Engine:
         self.rk4 = _rk4(model.f, model.state_dim)
         if model.state_dim == 1:
             self.side = partial(bisect_right, thresholds)
+            self.finite = math.isfinite
         else:
             monitor = model.threshold_component
             self.side = lambda x: bisect_right(thresholds, x[monitor])
+            self.finite = lambda x: all(map(math.isfinite, x))
 
     def breaks(self, t0: float, t1: float) -> list[float]:
         """The break times in [t0, t1], sorted: off + m*period for integer m,
@@ -280,13 +297,11 @@ class _Engine:
         # window that ends short of the next break (at hi), breaks(a, t1) is
         # empty, so grid_step makes one step over [a, t1] with its stages at
         # the interval ends, and a trial between the same two thresholds as x
-        # crosses none of them. The same operations run in the same order on
-        # the state, so the samples are bit-identical to grid_step's; the last
-        # stage's input is the input at t1, recorded and reused as the next
-        # step's first. A trial that crosses a threshold is handed to
-        # grid_step as its first step. Every other interval, the first one
-        # included, goes to grid_step. A one-state model's float state steps
-        # inline on its float f; a larger state goes through the rk4 kernel.
+        # crosses none of them. Both run the rk4 kernel on the same inputs, so
+        # the samples are bit-identical; the last stage's input, at t1, is
+        # recorded and is the next step's first. A trial that crosses a
+        # threshold is grid_step's first step. Every other interval, the first
+        # one included, goes to grid_step.
         dt = self.dt
         columns = self.waveform.columns
         grid_step = self.grid_step
@@ -299,18 +314,9 @@ class _Engine:
             reach = min(period for period, _ in specs)
             slack = 2e-9 * max(period for period, _ in specs)
         thresholds, side_of = self.sorted_thresholds, self.side
-        isfinite = math.isfinite
-        scalar = self.model.state_dim == 1
-        if scalar:
-            f, finite = self.model.f, isfinite
-        else:
-            rk4 = self.rk4
-
-            def finite(x):
-                return all(map(isfinite, x))
-
+        rk4, finite = self.rk4, self.finite
         if rec is not None:
-            states = rec.state[:, 0] if scalar else rec.state
+            states = rec.state[:, 0] if self.model.state_dim == 1 else rec.state
             xs: list = []
         hi = -math.inf
         side = side_of(x)
@@ -325,17 +331,7 @@ class _Engine:
             try:
                 for a, t1, tm, um, u4 in grid:
                     if t1 <= hi:
-                        h = t1 - a
-                        if not scalar:
-                            x1 = rk4(x, u1, um, u4, a, tm, t1, h)
-                        else:  # the float kernel, inline
-                            c1 = f(x, u1, a)
-                            h2 = 0.5 * h
-                            c2 = f(x + h2 * c1, um, tm)
-                            c3 = f(x + h2 * c2, um, tm)
-                            c4 = f(x + h * c3, u4, t1)
-                            h6 = h / 6.0
-                            x1 = x + h6 * (c1 + 2.0 * (c2 + c3) + c4)
+                        x1 = rk4(x, u1, um, u4, a, tm, t1, t1 - a)
                         if thresholds and side_of(x1) != side:
                             x = grid_step(x, a, t1, x1)[-1][1]
                             side = side_of(x)

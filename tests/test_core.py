@@ -19,7 +19,7 @@ from memlab import (
     Trajectory,
     memristive,
 )
-from memlab.core import accumulate_integrals, terminal_pair
+from memlab.core import Rate, accumulate_integrals, terminal_pair
 from memlab.models import PiecewiseR1
 
 from oracles import r1_of_t
@@ -169,6 +169,30 @@ def test_the_state_size_is_the_initial_state_length():
     assert _resistor().state_dim == 1
     with pytest.raises(ConfigError, match="empty initial state"):
         dataclasses.replace(_resistor(), initial_state=())
+
+
+def test_a_rate_evaluates_its_expression_on_its_bound_names():
+    # names bind constants and helpers, even one called rate; a builtin
+    # needs no binding
+    rate = Rate("k * (u - x) + abs(t) + rate", {"k": 2.0, "rate": 0.25})
+    assert rate(1.0, 4.0, -0.5) == 6.75
+
+
+@pytest.mark.parametrize(
+    "source, names, message",
+    [
+        ("x +", {}, "rate 'x \\+' is not an expression"),
+        ("x = u", {}, "is not an expression"),
+        ("k * (u - x)", {}, "reads unbound names k$"),
+        ("k * (u - x) + g(t) + h", {"k": 2.0}, "reads unbound names g, h$"),
+    ],
+    ids=["incomplete", "statement", "unbound", "two-unbound"],
+)
+def test_a_bad_rate_is_a_config_error_when_built(source, names, message):
+    # refused as it is built, not left to fail with a NameError at the
+    # first step of a run
+    with pytest.raises(ConfigError, match=message):
+        Rate(source, names)
 
 
 def test_generic_one_port_output():
