@@ -338,6 +338,17 @@ def check_analyses(analyses, drive: Drive, controls: SimControls) -> None:
                 )
 
 
+def check_sweep_frequencies(freqs) -> None:
+    """Raise ConfigError unless the sweep list is non-empty, positive and
+    strictly increasing."""
+    if not freqs:
+        raise ConfigError("sweep needs at least one frequency")
+    if any(f <= 0.0 for f in freqs):
+        raise ConfigError("sweep frequencies must be > 0")
+    if any(b <= a for a, b in zip(freqs, freqs[1:])):
+        raise ConfigError("sweep frequencies must be strictly increasing")
+
+
 # ---------------------------------------------------------------------------
 # frequency sweep
 
@@ -357,12 +368,7 @@ def frequency_sweep(model, drive: Drive, frequencies, controls: SimControls) -> 
     Failures are re-raised tagged with the frequency they occurred at.
     """
     freqs = [float(f) for f in frequencies]
-    if not freqs:
-        raise ConfigError("sweep needs at least one frequency")
-    if any(f <= 0.0 for f in freqs):
-        raise ConfigError("sweep frequencies must be > 0")
-    if any(b <= a for a, b in zip(freqs, freqs[1:])):
-        raise ConfigError("sweep frequencies must be strictly increasing")
+    check_sweep_frequencies(freqs)
     check_analyses(("sweep",), drive, controls)
 
     points = []

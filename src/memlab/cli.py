@@ -102,14 +102,12 @@ def build_report(config: ExperimentConfig, traj: Trajectory, wall_time_s: float)
 
 def run_experiment(config: ExperimentConfig, dt_override: float | None = None):
     """Simulate one experiment and build its report. Returns (trajectory, report)."""
-    controls = config.controls
     if dt_override is not None:
-        controls = replace(controls, dt=dt_override)
-        config = replace(config, controls=controls, warnings=config.warnings)
-        check_analyses(config.analyses, config.drive, controls)
+        config = replace(config, controls=replace(config.controls, dt=dt_override))
+        check_analyses(config.analyses, config.drive, config.controls)
     model = build_model(config)
     start = time.perf_counter()
-    traj = simulate(model, config.drive, controls)
+    traj = simulate(model, config.drive, config.controls)
     wall = time.perf_counter() - start
     return traj, build_report(config, traj, wall_time_s=wall)
 
@@ -254,18 +252,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="memlab", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate an experiment and write its outputs")
-    run.add_argument("file", nargs="?", help="experiment description file")
-    run.add_argument("--preset", help="use a built-in preset instead of a file")
-    run.add_argument("--out", help="directory for relative output paths")
+    shared = argparse.ArgumentParser(add_help=False)  # run's and sweep's arguments
+    shared.add_argument("file", nargs="?", help="experiment description file")
+    shared.add_argument("--preset", help="use a built-in preset instead of a file")
+    shared.add_argument("--out", help="directory for relative output paths")
+
+    run = sub.add_parser("run", parents=[shared], help="simulate an experiment and write its outputs")
     run.add_argument("--dt-override", type=float, default=None,
                      help="replace the configured integrator step")
     run.set_defaults(func=_cmd_run)
 
-    sweep = sub.add_parser("sweep", help="run an experiment's frequency sweep")
-    sweep.add_argument("file", nargs="?", help="experiment description file")
-    sweep.add_argument("--preset", help="use a built-in preset instead of a file")
-    sweep.add_argument("--out", help="directory for relative output paths")
+    sweep = sub.add_parser("sweep", parents=[shared], help="run an experiment's frequency sweep")
     sweep.set_defaults(func=_cmd_sweep)
 
     lst = sub.add_parser("list", help="list built-in presets")

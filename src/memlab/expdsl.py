@@ -24,11 +24,11 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import get_type_hints
 
 from .core import ConfigError, Drive, SignalKind, Sinusoid, SquareWave
-from .analyze import check_analyses
+from .analyze import check_analyses, check_sweep_frequencies
 from .integrate import SimControls
 from . import models
 
@@ -52,9 +52,12 @@ _UNIT_SCALE = {
     "mJ/K": 1e-3,
 }
 
-_ANALYSES = ("pinch", "phi_q", "loop_area", "linearity")
+_ANALYSES = ("pinch", "phi_q", "loop_area", "linearity", "sweep")
 
 _WAVEFORMS = {"sinusoid": Sinusoid, "square": SquareWave}
+
+# what a bool or int key's value must be; any other key takes a number
+_TYPE_NAMES = {bool: "true or false", int: "an integer"}
 
 # the time-toggled series resistor (models.PiecewiseR1) is written as
 # r1_high, r1_low and r1_period: all three, or none and r1 instead
@@ -63,10 +66,13 @@ _R1_KEYS = {f"r1_{f.name}": f.name for f in fields(models.PiecewiseR1)}
 
 @functools.cache
 def _keys(cls) -> dict[str, tuple[type, object]]:
-    """key -> (type, default or MISSING) for each field of a parameter or
-    controls dataclass."""
+    """key -> (type, default or MISSING) for each field of a parameter,
+    waveform or controls dataclass; an r1 field adds the r1_* keys."""
     types = get_type_hints(cls)
-    return {f.name: (types[f.name], f.default) for f in fields(cls)}
+    keys = {f.name: (types[f.name], f.default) for f in fields(cls)}
+    if "r1" in keys:
+        keys.update(dict.fromkeys(_R1_KEYS, (float, MISSING)))
+    return keys
 
 
 class ParseError(ConfigError):
@@ -186,36 +192,16 @@ class _Parser:
             return tok.text == "true", tok
         self._fail(f"expected a number or true/false, got {tok.text!r}", tok)
 
-    def _kv_block(self, block: str) -> dict[str, tuple[float | bool, Token]]:
-        self._expect("punct", "'{'", "{")
-        out: dict[str, tuple[float | bool, Token]] = {}
-        while True:
-            tok = self._next()
-            if tok.kind == "punct" and tok.text == "}":
-                return out
-            if tok.kind != "ident":
-                self._fail(f"expected a key or '}}' in {block} block, got {tok.text!r}", tok)
-            if tok.text in out:
-                self._fail(f"duplicate key {tok.text!r} in {block} block", tok)
-            self._expect("punct", "'='", "=")
-            val, _ = self._value()
-            out[tok.text] = (val, tok)
-
     def parse(self) -> ExperimentConfig:
-        tok = self._expect("ident", "'experiment'")
-        if tok.text != "experiment":
-            self._fail("description must start with 'experiment <name>'", tok)
+        self._expect("ident", "'experiment'", "experiment")
         name = self._expect("ident", "experiment name").text
 
         seen: dict[str, Token] = {}
-        model_tok = None
-        model_raw: dict = {}
-        drive_spec = None
-        sim_raw: dict = {}
+        model_tok = model_values = drive_tok = drive = None
+        controls = SimControls()
         analyses: dict[str, Token] = {}
         sweep: tuple[float, ...] = ()
-        csv_path = None
-        json_path = None
+        csv_path, json_path = f"{name}.csv", f"{name}.json"
 
         while True:
             tok = self._next()
@@ -231,51 +217,55 @@ class _Parser:
                 model_tok = self._expect("ident", "model kind")
                 if model_tok.text not in models.MODELS:
                     self._fail(f"unknown model kind {model_tok.text!r}", model_tok)
-                model_raw = self._kv_block("model")
+                self._check_drive_kind(model_tok, drive_tok)
+                model_values, toks = self._block(
+                    _keys(models.MODELS[model_tok.text].params), f"model {model_tok.text!r}")
+                # r1 is given alone or as the full r1_high/r1_low/r1_period trio
+                trio = [k for k in _R1_KEYS if k in model_values]
+                spelled = "/".join(_R1_KEYS)
+                if "r1" in model_values and trio:
+                    self._fail(f"'r1' conflicts with {spelled}", toks[trio[0]])
+                if 0 < len(trio) < len(_R1_KEYS):
+                    missing = [k for k in _R1_KEYS if k not in model_values]
+                    self._fail(f"time-dependent r1 needs all of {spelled}; missing {missing}",
+                               toks[trio[0]])
             elif tok.text == "drive":
-                kind_tok = self._expect("ident", "'current' or 'voltage'")
-                if kind_tok.text not in ("current", "voltage"):
-                    self._fail(f"drive kind must be 'current' or 'voltage', got {kind_tok.text!r}", kind_tok)
+                drive_tok = self._expect("ident", "'current' or 'voltage'")
+                if drive_tok.text not in ("current", "voltage"):
+                    self._fail(f"drive kind must be 'current' or 'voltage', got {drive_tok.text!r}", drive_tok)
+                self._check_drive_kind(model_tok, drive_tok)
                 wave_tok = self._expect("ident", "'sinusoid' or 'square'")
                 if wave_tok.text not in _WAVEFORMS:
                     self._fail(f"waveform must be 'sinusoid' or 'square', got {wave_tok.text!r}", wave_tok)
-                drive_spec = (kind_tok, wave_tok, self._kv_block("drive"))
+                waveform_cls = _WAVEFORMS[wave_tok.text]
+                values, _ = self._block(_keys(waveform_cls), f"a {wave_tok.text} drive")
+                for key, (_, default) in _keys(waveform_cls).items():
+                    if default is MISSING and key not in values:
+                        self._fail(f"drive is missing {key!r}", wave_tok)
+                waveform = self._built(wave_tok, waveform_cls, **values)
+                drive = Drive(kind=SignalKind(drive_tok.text), waveform=waveform)
             elif tok.text == "sim":
-                sim_raw = self._kv_block("sim")
+                values, _ = self._block(_keys(SimControls), "the sim block")
+                controls = self._built(tok, SimControls, **values)
             elif tok.text == "analyze":
                 analyses, sweep = self._analyze_block()
             else:
-                csv_kw = self._expect("ident", "'csv'")
-                if csv_kw.text != "csv":
-                    self._fail(f"output block starts with csv, got {csv_kw.text!r}", csv_kw)
+                self._expect("ident", "'csv'", "csv")
                 csv_path = self._expect("string", "csv path as a quoted string").text
+                json_path = None
                 if self._peek().kind == "ident" and self._peek().text == "json":
                     self._next()
                     json_path = self._expect("string", "json path as a quoted string").text
 
+        # a derived q0 and the analyses read other blocks: checked at the end
         if model_tok is None:
             raise ParseError("missing model block")
-        if drive_spec is None:
+        if drive is None:
             raise ParseError("missing drive block")
-
         model_kind = model_tok.text
-        drive = self._build_drive(model_kind, *drive_spec)
-        try:
-            params = self._normalize_model(model_kind, model_raw, drive)
-            _params(models.MODELS[model_kind].params, params)
-        except ParseError:
-            raise
-        except ConfigError as exc:
-            self._fail(str(exc), model_tok)
-        controls = self._build_controls(sim_raw, seen.get("sim"))
+        params = self._built(model_tok, self._model_params, model_kind, model_values, drive)
         for analysis, tok in analyses.items():
-            try:
-                check_analyses((analysis,), drive, controls)
-            except ConfigError as exc:
-                self._fail(str(exc), tok)
-        if "output" not in seen:
-            csv_path = f"{name}.csv"
-            json_path = f"{name}.json"
+            self._built(tok, check_analyses, (analysis,), drive, controls)
 
         return ExperimentConfig(
             name=name,
@@ -302,9 +292,12 @@ class _Parser:
                 return analyses, sweep
             if tok.kind != "ident":
                 self._fail(f"expected an analysis name, got {tok.text!r}", tok)
+            if tok.text not in _ANALYSES:
+                self._fail(f"unknown analysis {tok.text!r}", tok)
+            if tok.text in analyses:
+                self._fail(f"duplicate analysis {tok.text!r}", tok)
+            analyses[tok.text] = tok
             if tok.text == "sweep":
-                if sweep:
-                    self._fail("duplicate sweep", tok)
                 self._expect("punct", "'('", "(")
                 freqs = []
                 while True:
@@ -317,66 +310,61 @@ class _Parser:
                         break
                     if not (nxt.kind == "punct" and nxt.text == ","):
                         self._fail(f"expected ',' or ')', got {nxt.text!r}", nxt)
+                self._built(tok, check_sweep_frequencies, freqs)
                 sweep = tuple(freqs)
-            else:
-                if tok.text not in _ANALYSES:
-                    self._fail(f"unknown analysis {tok.text!r}", tok)
-                if tok.text in analyses:
-                    self._fail(f"duplicate analysis {tok.text!r}", tok)
-            analyses[tok.text] = tok
 
-    def _build_drive(self, model_kind, kind_tok, wave_tok, raw) -> Drive:
-        expected = models.MODELS[model_kind].input_kind
-        if kind_tok.text != expected.value:
-            self._fail(
-                f"model {model_kind!r} is {expected.value}-controlled; "
-                f"drive kind must be {expected.value!r}",
-                kind_tok,
-            )
-        waveform_cls = _WAVEFORMS[wave_tok.text]
-        keys = _keys(waveform_cls)
-        kwargs = self._typed(raw, keys, f"a {wave_tok.text} drive")
-        for key, (_, default) in keys.items():
-            if default is MISSING and key not in kwargs:
-                self._fail(f"drive is missing {key!r}", wave_tok)
-        try:
-            waveform = waveform_cls(**kwargs)
-        except ConfigError as exc:
-            self._fail(str(exc), wave_tok)
-        return Drive(kind=SignalKind(kind_tok.text), waveform=waveform)
-
-    def _typed(self, raw: dict, keys: dict, where: str) -> dict:
-        """raw values checked against the key types: a bool key takes
-        true/false, an int key an integral number, any other key a number."""
-        out = {}
-        for key, (val, ktok) in raw.items():
+    def _block(self, keys: dict, where: str) -> tuple[dict, dict[str, Token]]:
+        """The values of one '{ key = value ... }' block and the token of each
+        key. Each key must be one of keys and is typed as it is read: a bool
+        key takes true/false, an int key an integral number, any other key a
+        number."""
+        self._expect("punct", "'{'", "{")
+        values: dict = {}
+        toks: dict[str, Token] = {}
+        while True:
+            tok = self._next()
+            if tok.kind == "punct" and tok.text == "}":
+                return values, toks
+            if tok.kind != "ident":
+                self._fail(f"expected a key or '}}' in {where}, got {tok.text!r}", tok)
+            key = tok.text
             if key not in keys:
-                self._fail(f"unknown key {key!r} for {where}", ktok)
+                self._fail(f"unknown key {key!r} for {where}", tok)
+            if key in values:
+                self._fail(f"duplicate key {key!r} in {where}", tok)
+            self._expect("punct", "'='", "=")
+            val, _ = self._value()
             kind = keys[key][0]
-            if kind is bool and not isinstance(val, bool):
-                self._fail(f"{key!r} must be true or false", ktok)
-            if kind is int and (isinstance(val, bool) or val != int(val)):
-                self._fail(f"{key!r} must be an integer", ktok)
-            if kind is not bool and isinstance(val, bool):
-                self._fail(f"{key!r} must be a number", ktok)
-            out[key] = int(val) if kind is int else val
-        return out
+            if (kind is bool) != isinstance(val, bool) or (kind is int and val != int(val)):
+                self._fail(f"{key!r} must be {_TYPE_NAMES.get(kind, 'a number')}", tok)
+            values[key] = int(val) if kind is int else val
+            toks[key] = tok
 
-    def _normalize_model(self, kind: str, raw: dict, drive: Drive) -> dict:
-        keys = dict(_keys(models.MODELS[kind].params))
-        if "r1" in keys:
-            keys.update(dict.fromkeys(_R1_KEYS, (float, MISSING)))
-        params = self._typed(raw, keys, f"model {kind!r}")
+    def _built(self, tok: Token, fn, *args, **kwargs):
+        """fn(*args, **kwargs), with a ConfigError from it raised as a
+        ParseError at tok; a ParseError keeps its own position."""
+        try:
+            return fn(*args, **kwargs)
+        except ParseError:
+            raise
+        except ConfigError as exc:
+            self._fail(str(exc), tok)
 
-        trio = [k for k in _R1_KEYS if k in params]
-        spelled = "/".join(_R1_KEYS)
-        if "r1" in params and trio:
-            self._fail(f"'r1' conflicts with {spelled}", raw[trio[0]][1])
-        if 0 < len(trio) < len(_R1_KEYS):
-            missing = [k for k in _R1_KEYS if k not in params]
-            self._fail(f"time-dependent r1 needs all of {spelled}; missing {missing}",
-                       raw[trio[0]][1])
+    def _check_drive_kind(self, model_tok: Token | None, drive_tok: Token | None):
+        """Fail at the drive kind unless the model takes that kind of input;
+        nothing is checked until both kinds are read."""
+        if model_tok and drive_tok:
+            want = models.MODELS[model_tok.text].input_kind.value
+            if drive_tok.text != want:
+                self._fail(f"model {model_tok.text!r} is {want}-controlled; "
+                           f"drive kind must be {want!r}", drive_tok)
 
+    def _model_params(self, kind: str, params: dict, drive: Drive) -> dict:
+        """The model block's values with each omitted key's default (and a
+        warning for it) and a derived q0, checked by building the parameter
+        object: a ConfigError if its class rejects them."""
+        trio = any(k in params for k in _R1_KEYS)
+        keys = _keys(models.MODELS[kind].params)
         for key, (_, default) in keys.items():
             if key in params or default is MISSING or (key == "r1" and trio):
                 continue
@@ -397,16 +385,8 @@ class _Parser:
             self.warnings.append(
                 f"model {kind}: q0 not given, derived {q0!r} from the drive "
                 f"(2*amplitude/((n_switches+1)*omega))")
+        _params(models.MODELS[kind].params, params)
         return params
-
-    def _build_controls(self, raw: dict, block_tok) -> SimControls:
-        kwargs = self._typed(raw, _keys(SimControls), "the sim block")
-        try:
-            return SimControls(**kwargs)
-        except ConfigError as exc:
-            if block_tok is not None:
-                self._fail(str(exc), block_tok)
-            raise
 
 
 def parse_experiment(text: str) -> ExperimentConfig:
@@ -451,23 +431,17 @@ def serialize_experiment(config: ExperimentConfig) -> str:
     parse_experiment(serialize_experiment(c)) == c.
     """
     lines = [f"experiment {config.name}"]
-    lines.append(f"model {config.model_kind} {{")
-    for key in sorted(config.model_params):
-        lines.append(f"  {key} = {_fmt(config.model_params[key])}")
-    lines.append("}")
-
     wf = config.drive.waveform
-    lines.append(f"drive {config.drive.kind.value} {waveform_name(wf)} {{")
-    for f in fields(wf):
-        lines.append(f"  {f.name} = {_fmt(float(getattr(wf, f.name)))}")
-    lines.append("}")
-
-    lines.append("sim {")
-    for f in fields(config.controls):
-        val = getattr(config.controls, f.name)
-        if val is not None:
-            lines.append(f"  {f.name} = {_fmt(val)}")
-    lines.append("}")
+    blocks = [
+        (f"model {config.model_kind}", sorted(config.model_params.items())),
+        (f"drive {config.drive.kind.value} {waveform_name(wf)}",
+         [(key, float(val)) for key, val in asdict(wf).items()]),
+        ("sim", [(key, val) for key, val in asdict(config.controls).items() if val is not None]),
+    ]
+    for head, items in blocks:
+        lines.append(f"{head} {{")
+        lines += [f"  {key} = {_fmt(val)}" for key, val in items]
+        lines.append("}")
 
     if config.analyses or config.sweep_frequencies:
         items = list(config.analyses)

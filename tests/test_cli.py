@@ -416,6 +416,30 @@ def test_an_output_path_that_is_the_description_exits_2(command, output, tmp_pat
     assert sorted(tmp_path.iterdir()) == [src]
 
 
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ("sweep(0.2 Hz, 0.1 Hz)", "sweep frequencies must be strictly increasing"),
+        ("sweep(0 Hz)", "sweep frequencies must be > 0"),
+    ],
+    ids=["decreasing", "zero"],
+)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_bad_sweep_list_exits_2_at_the_sweep(command, sweep, message, tmp_path, capsys):
+    # the list is checked while parsing: run refuses it as sweep does, at
+    # the sweep's position and before any output is written
+    src = tmp_path / "exp.dsl"
+    src.write_text(
+        "experiment bad\nmodel switched { q0 = 0.3 }\n"
+        "drive current sinusoid { amplitude = 1 A  frequency = 0.1 Hz }\n"
+        f"analyze {{ loop_area {sweep} }}\n"
+    )
+    assert main([command, str(src), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 4, col 21: {message}\n" and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [src]
+
+
 # ---------------------------------------------------------------------------
 # main on generated descriptions
 

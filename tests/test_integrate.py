@@ -938,9 +938,10 @@ _RATE_NAMES = memristive(
     cycle=st.integers(0, 10**5),
     nudge_a=st.booleans(),
     nudge_b=st.booleans(),
+    square=st.booleans(),
 )
 def test_a_step_is_the_literal_tuple_rk4(
-    model, temp, other, third, amplitude, h, cycle, nudge_a, nudge_b
+    model, temp, other, third, amplitude, h, cycle, nudge_a, nudge_b, square
 ):
     # step (and with it every bisection probe and the stepping loop) runs
     # the kernel written for the state size: a float for one state, a tuple
@@ -948,14 +949,18 @@ def test_a_step_is_the_literal_tuple_rk4(
     # whose expression each stage evaluates in place; a plain function is
     # called at each stage. A square wave's level switches at 100 s * cycle
     # and 33.37 s later are breaks, where a stage is nudged 1e-9 of the step
-    # inside, and at least 1e-15 of t inside. The oracle steps a tuple, so a
-    # one-state float f is boxed for it
+    # inside, and at least 1e-15 of t inside. A square wave has one level at
+    # a smooth sub-step's start, midpoint and end; a sinusoid has three
+    # values there, so a stage fed another stage's input sample differs. The
+    # oracle steps a tuple, so a one-state float f is boxed for it
     assert isinstance(model.f, Rate) == (model.name != "called" and model.state_dim == 1)
     x = (temp, other, third)[: model.state_dim]
     scalar = model.state_dim == 1
     f = (lambda y, u, t: (model.f(y[0], u, t),)) if scalar else model.f
     x_engine = x[0] if scalar else x
-    drive = Drive(SignalKind.CURRENT, SquareWave(amplitude=amplitude, frequency=0.01, duty=0.3337))
+    wave = (SquareWave(amplitude=amplitude, frequency=0.01, duty=0.3337) if square
+            else Sinusoid(amplitude=amplitude, frequency=0.01, phase=0.3))
+    drive = Drive(SignalKind.CURRENT, wave)
     start, switch = 100.0 * cycle, 100.0 * cycle + 33.37
     a = start if nudge_a else (switch - h if nudge_b else start + 1.0)
     b = switch if nudge_b else a + h
