@@ -4,12 +4,19 @@ Steps are split at resistance discontinuities so no RK4 stage ever straddles a
 jump: periodic time breakpoints are split analytically, state-threshold
 crossings are bisected to within the event tolerance. The sample grid itself is
 untouched; all splitting is internal to a grid step.
+
+One template of the RK4 stage arithmetic is compiled per run into a single
+step, which the splitter runs, and a stepping loop, which steps a chunk of
+grid intervals in compiled code and hands back to the splitter each interval
+near a break and each trial that leaves its threshold side or is not finite.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import sys
+import textwrap
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -28,7 +35,7 @@ from .core import (
 )
 
 
-# the most grid steps one run may take: about 39 s at 1.95 us a one-state step
+# the most grid steps one run may take: about 21 s at 1.05 us a one-state step
 # (fig6_7 on a 2-vCPU Xeon, CPython 3.11), and a record of at most 1 GB
 MAX_GRID_STEPS = 20_000_000
 
@@ -128,18 +135,28 @@ def check_compatible(model, drive: Drive) -> None:
         )
 
 
-def _rk4(f, n):
-    """One classical RK4 step of an n-state model on f(x, u, t), compiled
-    from one template written out component by component (# stands for the
-    component's index); the caller gives the stages and inputs. One state
-    steps a float, a larger state a tuple, each rate unpacked into exactly n
-    components, so a derivative of another length raises ValueError. A stage
-    writes in a Rate's expression, or the call f(x, u, t) for any other f,
-    with x, u and t renamed to the stage's state, input and time and each
-    bound name to "_" + name, which no name of the template starts with.
-    Every component takes the same operations in the same order."""
+def _kernels(f, n, monitor):
+    """The RK4 kernels of an n-state model on f(x, u, t), compiled from one
+    template of the stage arithmetic written out component by component (#
+    stands for the component's index), and whether f reads t.
+
+    rk4(x, u1, um, u4, ta, tm, tb, h) takes one classical RK4 step. run(x,
+    u1, grid, lo, up, hi, push) takes it over each grid row (tb, um, u4, h,
+    0.5*h, h/6.0, then ta, tm if f reads t), u1 being the row before's u4,
+    and pushes each new state y. It returns (x, None) when the rows end or
+    at a tb past hi, not stepped, and (x, y), not pushed, at a y whose
+    monitored component fails lo <= y < up or whose others are not finite.
+
+    One state steps a float, a larger state a tuple, each rate unpacked into
+    exactly n components, so a derivative of another length raises
+    ValueError. A stage writes in a Rate's expression, or the call f(x, u, t)
+    for any other f, with x, u and t renamed to the stage's state, input and
+    time and each bound name to "_" + name, which no name of the template
+    starts with. Every component takes the same operations in the same order."""
     rate = f if isinstance(f, Rate) else Rate("f(x, u, t)", {"f": f})
     scope = {"_" + name: value for name, value in rate.names.items()}
+    tree = ast.parse(rate.source, mode="eval")
+    reads_t = any(isinstance(node, ast.Name) and node.id == "t" for node in ast.walk(tree))
 
     def state(term):
         each = ", ".join(term.replace("#", str(i)) for i in range(n))
@@ -153,21 +170,42 @@ def _rk4(f, n):
                 node.id = renamed.get(node.id, node.id)
         return ast.unparse(tree)
 
-    src = f"""def rk4(x, u1, um, u4, ta, tm, tb, h):
-    {state('x#')} = x
-    {state('a#')} = {derivative('x', 'u1', 'ta')}
-    h2 = 0.5 * h
-    xb = {state('x# + h2 * a#')}
-    {state('b#')} = {derivative('xb', 'um', 'tm')}
-    xc = {state('x# + h2 * b#')}
-    {state('c#')} = {derivative('xc', 'um', 'tm')}
-    xd = {state('x# + h * c#')}
-    {state('d#')} = {derivative('xd', 'u4', 'tb')}
-    h6 = h / 6.0
-    return {state('x# + h6 * (a# + 2.0 * (b# + c#) + d#)')}
+    step = f"""{state('x#')} = x
+{state('a#')} = {derivative('x', 'u1', 'ta')}
+xb = {state('x# + h2 * a#')}
+{state('b#')} = {derivative('xb', 'um', 'tm')}
+xc = {state('x# + h2 * b#')}
+{state('c#')} = {derivative('xc', 'um', 'tm')}
+xd = {state('x# + h * c#')}
+{state('d#')} = {derivative('xd', 'u4', 'tb')}
+y = {state('x# + h6 * (a# + 2.0 * (b# + c#) + d#)')}
 """
-    exec(compile(src, f"<rk4 on {n} states>", "exec"), scope)
-    return scope["rk4"]
+
+    top = repr(sys.float_info.max)
+    stays = "lo <= y < up" if n == 1 else " and ".join(
+        f"lo <= y[{i}] < up" if i == monitor else f"-{top} <= y[{i}] <= {top}" for i in range(n)
+    )
+    src = f"""def rk4(x, u1, um, u4, ta, tm, tb, h):
+    h2 = 0.5 * h
+    h6 = h / 6.0
+{textwrap.indent(step, "    ")}    return y
+
+def run(x, u1, grid, lo, up, hi, push):
+    for tb, um, u4, h, h2, h6{", ta, tm" if reads_t else ""} in grid:
+        if tb > hi:
+            return x, None
+{textwrap.indent(step, "        ")}        if not ({stays}):
+            return x, y
+        x = y
+        push(y)
+        u1 = u4
+    return x, None
+"""
+    # defined apart from the scope they read, so that no reference cycle
+    # holds the kernels past the run
+    kernels: dict = {}
+    exec(compile(src, f"<rk4 on {n} states>", "exec"), scope, kernels)
+    return kernels["rk4"], kernels["run"], reads_t
 
 
 class _Engine:
@@ -184,14 +222,19 @@ class _Engine:
         # threshold is never crossed
         thresholds = tuple(sorted(th for th in model.thresholds if not math.isnan(th)))
         self.sorted_thresholds = thresholds
-        # one RK4 kernel, written out for the state size. side(x) is the
-        # count of thresholds at or below x's monitored component
-        self.rk4 = _rk4(model.f, model.state_dim)
+        # the RK4 kernels, written out for the state size. side(x) is the
+        # count of thresholds at or below x's monitored component, and
+        # bounds[side(x)] the (lo, up) that run keeps a state between: lo <=
+        # x < up holds for a finite x on that side, and for nothing else
+        monitor = model.threshold_component
+        self.rk4, self.run, self.reads_t = _kernels(model.f, model.state_dim, monitor)
+        top = sys.float_info.max
+        cuts = (-top, *(max(th, -top) for th in thresholds), math.inf)
+        self.bounds = list(zip(cuts, cuts[1:]))
         if model.state_dim == 1:
             self.side = partial(bisect_right, thresholds)
             self.finite = math.isfinite
         else:
-            monitor = model.threshold_component
             self.side = lambda x: bisect_right(thresholds, x[monitor])
             self.finite = lambda x: all(map(math.isfinite, x))
 
@@ -293,18 +336,18 @@ class _Engine:
         Raises BlowUpError when the state stops being finite or its stepping
         raises an ArithmeticError.
         """
-        # grid_step, inlined where the interval provably has no event: in the
+        # run is grid_step where the interval provably has no event: in the
         # window that ends short of the next break (at hi), breaks(a, t1) is
         # empty, so grid_step makes one step over [a, t1] with its stages at
-        # the interval ends, and a trial between the same two thresholds as x
-        # crosses none of them. Both run the rk4 kernel on the same inputs, so
-        # the samples are bit-identical; the last stage's input, at t1, is
-        # recorded and is the next step's first. A trial that crosses a
-        # threshold is grid_step's first step. Every other interval, the first
-        # one included, goes to grid_step.
+        # the interval ends, and a finite trial between the same two
+        # thresholds as x crosses none of them. Both run the same stage
+        # arithmetic on the same inputs, so the samples are bit-identical.
+        # run hands back every other interval, the first one included, and
+        # it goes to grid_step; a trial that crosses a threshold is grid_step's
+        # first step, and one that stays is checked for finiteness here.
         dt = self.dt
         columns = self.waveform.columns
-        grid_step = self.grid_step
+        grid_step, run = self.grid_step, self.run
         breaks = self.breaks
         specs = self.specs
         if specs:
@@ -313,44 +356,53 @@ class _Engine:
             # takes it for an end, and by the rounding of t
             reach = min(period for period, _ in specs)
             slack = 2e-9 * max(period for period, _ in specs)
-        thresholds, side_of = self.sorted_thresholds, self.side
-        rk4, finite = self.rk4, self.finite
+        thresholds, side_of, bounds = self.sorted_thresholds, self.side, self.bounds
+        finite = self.finite
         if rec is not None:
             states = rec.state[:, 0] if self.model.state_dim == 1 else rec.state
-            xs: list = []
+        xs: list = []
+        push = xs.append
         hi = -math.inf
         side = side_of(x)
         for c0 in range(k0, k1, CHUNK):
-            ce = min(c0 + CHUNK, k1)
+            m = min(CHUNK, k1 - c0)
             # the grid times k * dt (k < 2**53 is exact, so each rounds as the
-            # scalar product), the midpoints a + 0.5 * h and the drive at both
-            g = np.arange(c0, ce + 1, dtype=float) * dt
+            # scalar product), the steps h and the midpoints a + 0.5 * h, the
+            # drive at the times and midpoints, and the step's 0.5 * h and
+            # h / 6.0, each rounded as the scalar operation
+            g = np.arange(c0, c0 + m + 1, dtype=float) * dt
             A, T1 = g[:-1], g[1:]
-            TM, U4 = A + 0.5 * (T1 - A), columns(T1)
-            grid = zip(A.tolist(), T1.tolist(), TM.tolist(), columns(TM).tolist(), U4.tolist())
+            H = T1 - A
+            H2 = 0.5 * H
+            TM = A + H2
+            U = columns(g)
+            cols = [T1, columns(TM), U[1:], H, H2, H / 6.0]
+            if self.reads_t:
+                cols += [A, TM]
+            grid = zip(*(col.tolist() for col in cols))
             try:
-                for a, t1, tm, um, u4 in grid:
-                    if t1 <= hi:
-                        x1 = rk4(x, u1, um, u4, a, tm, t1, t1 - a)
-                        if thresholds and side_of(x1) != side:
-                            x = grid_step(x, a, t1, x1)[-1][1]
-                            side = side_of(x)
-                        else:
-                            x = x1
-                    else:
+                while True:
+                    x, trial = run(x, float(U[len(xs)]), grid, *bounds[side], hi, push)
+                    if (k := len(xs)) == m:
+                        break
+                    a, t1 = float(g[k]), float(g[k + 1])
+                    if trial is None:
                         x = grid_step(x, a, t1)[-1][1]
                         hi = math.inf
                         if specs:
                             ahead = breaks(t1, t1 + reach)
                             nb = ahead[0] if ahead else t1
                             hi = nb - (slack + 1e-15 * nb) if nb > t1 else -math.inf
-                        side = side_of(x)
+                    elif thresholds and side_of(trial) != side:
+                        x = grid_step(x, a, t1, trial)[-1][1]
+                    else:
+                        x = trial
+                    side = side_of(x)
                     if not finite(x):
                         raise BlowUpError(f"state became non-finite at t = {t1}", t1)
-                    if rec is not None:
-                        xs.append(x)
-                    u1 = u4
+                    push(x)
             except ArithmeticError as exc:
+                t1 = float(g[len(xs) + 1])
                 raise BlowUpError(f"state derivative failed at t = {t1}: {exc}", t1) from None
             finally:
                 # the rows stepped so far, also when the stepping raised: an
@@ -358,10 +410,10 @@ class _Engine:
                 if rec is not None and xs:
                     rows = slice(c0 + 1 - k0, c0 + 1 - k0 + len(xs))
                     rec.t[rows] = T1[: len(xs)]
-                    rec.u[rows] = U4[: len(xs)]
+                    rec.u[rows] = U[1 : len(xs) + 1]
                     states[rows] = xs
-                    xs.clear()
                     rec.fill(rows)
+                xs.clear()
         return x
 
 

@@ -636,6 +636,11 @@ _ORACLE_CASES = {
     "capacitor": (_capacitor(), _SINE_I),
     "capacitor-r1-inside-steps": (_capacitor(PiecewiseR1(period=7.0013)), _SINE_I),
     "capacitor-r1-below-dt": (_capacitor(PiecewiseR1(period=0.0031)), _SINE_I),
+    # no input: the charge stays exactly on a threshold, at every sample
+    "on-threshold": (
+        dataclasses.replace(_switched(), thresholds=(-1.0, 0.0, 1.0)),
+        Drive(SignalKind.CURRENT, Sinusoid(amplitude=0.0, frequency=0.1)),
+    ),
 }
 
 
@@ -705,14 +710,26 @@ def test_plain_stepping_blows_up_like_the_general_path():
     c = SimControls(dt=5000.0, transient_cycles=0, record_cycles=1)
     dt, n = resolve_step(c, d.period)
     m = thermistor()
+
+    def ones(X, U, T):
+        return np.ones(len(X))
+
     # the diverging state crosses the 400 K threshold and is bisected; a NaN
-    # threshold is never crossed. A capacitor whose r1*cap is far below dt
-    # diverges through the tuple kernel and its switch thresholds, with r1
-    # constant, toggling inside steps, and toggling hundreds of times a step.
+    # threshold is never crossed. x' = -1 - x^2 runs to -inf in the loop's
+    # second interval, which a bottom bound of -inf would let through; x' =
+    # x^2 + (x^2 - x^2) gives a NaN trial there, on the lower side of a
+    # threshold. A capacitor whose r1*cap is far below dt diverges through
+    # the tuple kernel and its switch thresholds, with r1 constant, toggling
+    # inside steps, and toggling hundreds of times a step.
     for model in (
         m,
         dataclasses.replace(m, threshold_component=0, thresholds=(400.0,)),
         dataclasses.replace(m, threshold_component=0, thresholds=(math.nan,)),
+        memristive(SignalKind.CURRENT, Rate("-1.0 - x * x"), g=ones, initial_state=(0.0,)),
+        memristive(
+            SignalKind.CURRENT, Rate("x * x + (x * x - x * x)"), g=ones, initial_state=(1.0,),
+            thresholds=(1e300,),
+        ),
         _capacitor(cap=1e-9),
         _capacitor(PiecewiseR1(period=7.0013 * dt), cap=1e-9),
         _capacitor(PiecewiseR1(period=0.0031 * dt), cap=1e-9),
@@ -754,10 +771,24 @@ def test_a_side_change_is_a_threshold_crossing(before, after, drawn, equal_to):
     if equal_to in ("after", "both"):
         thresholds.append(after)
     model = dataclasses.replace(_switched(), thresholds=tuple(thresholds))
-    ordered = _Engine(model, _SINE_I, 0.005, 5e-6).sorted_thresholds
+    engine = _Engine(model, _SINE_I, 0.005, 5e-6)
+    ordered = engine.sorted_thresholds
     side_changed = bisect_right(ordered, before) != bisect_right(ordered, after)
     # the oracle: some threshold has before and after on different sides
     assert side_changed == any((before < th) != (after < th) for th in thresholds)
+    # the stepping loop, on one grid row that steps the switched chain's
+    # x' = u from 0.0 by h/6 * (u1 + 2 * (um + um) + u4) = after, keeps a
+    # state between the bounds of the finite side it came from: it stops on
+    # a side change, a state on a threshold counting as above it, and on a
+    # state that is not finite
+    assume(math.isfinite(before))
+    pushed = []
+    row = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    lo, up = engine.bounds[bisect_right(ordered, before)]
+    _, trial = engine.run(0.0, after, iter([row]), lo, up, math.inf, pushed.append)
+    stopped = trial is not None
+    assert stopped == (not pushed)
+    assert stopped == (side_changed or not math.isfinite(after))
 
 
 @settings(deadline=None, max_examples=15)
