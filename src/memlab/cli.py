@@ -100,18 +100,6 @@ def build_report(config: ExperimentConfig, traj: Trajectory, wall_time_s: float)
     return report
 
 
-def run_experiment(config: ExperimentConfig, dt_override: float | None = None):
-    """Simulate one experiment and build its report. Returns (trajectory, report)."""
-    if dt_override is not None:
-        config = replace(config, controls=replace(config.controls, dt=dt_override))
-        check_analyses(config.analyses, config.drive, config.controls)
-    model = build_model(config)
-    start = time.perf_counter()
-    traj = simulate(model, config.drive, config.controls)
-    wall = time.perf_counter() - start
-    return traj, build_report(config, traj, wall_time_s=wall)
-
-
 # rows formatted per write: memory holds one chunk of strings, where chunks of
 # thousands of rows raise fig2_3's peak RSS by megabytes
 CSV_CHUNK_ROWS = 256
@@ -192,7 +180,13 @@ def _load_config(args) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     config = _load_config(args)
     csv_path, json_path = _output_paths(args, config)
-    traj, report = run_experiment(config, dt_override=args.dt_override)
+    if args.dt_override is not None:
+        config = replace(config, controls=replace(config.controls, dt=args.dt_override))
+        check_analyses(config.analyses, config.drive, config.controls)
+    model = build_model(config)
+    start = time.perf_counter()
+    traj = simulate(model, config.drive, config.controls)
+    report = build_report(config, traj, wall_time_s=time.perf_counter() - start)
     write_trajectory_csv(csv_path, traj)
     print(f"wrote {csv_path}")
     if json_path is not None:

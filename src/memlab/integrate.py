@@ -8,7 +8,9 @@ untouched; all splitting is internal to a grid step.
 One template of the RK4 stage arithmetic is compiled per run into a single
 step, which the splitter runs, and a stepping loop, which steps a chunk of
 grid intervals in compiled code and hands back to the splitter each interval
-near a break and each trial that leaves its threshold side or is not finite.
+near a break and each trial that leaves its threshold side or is not finite,
+the trial as the splitter's first step. The loop records straight into the
+Trajectory that simulate returns, its start state in row 0.
 """
 
 from __future__ import annotations
@@ -124,15 +126,6 @@ def _resolve_event_tol(controls: SimControls, dt: float) -> float:
             f"ulp(dt) = {math.ulp(dt)!r} at dt = {dt!r}; bisection cannot reach it"
         )
     return controls.event_tolerance
-
-
-def check_compatible(model, drive: Drive) -> None:
-    """Reject current-controlled models on voltage sources and vice versa."""
-    if model.input_kind is not drive.kind:
-        raise ConfigError(
-            f"model {model.name!r} is {model.input_kind.value}-controlled "
-            f"but the drive imposes a {drive.kind.value}"
-        )
 
 
 def _kernels(f, n, monitor):
@@ -329,10 +322,11 @@ class _Engine:
                 out.append((a, x))
         return out
 
-    def march(self, x: float | tuple, k0: int, k1: int, rec: _Record | None = None):
+    def march(self, x: float | tuple, k0: int, k1: int, traj: Trajectory | None = None):
         """Step x across grid intervals k0..k1-1 and return the final state.
 
-        With rec, the state after interval k is recorded in row k + 1 - k0.
+        With traj, x is recorded at t = k0 * dt in row 0 and the state after
+        interval k in row k + 1 - k0, t, u, state and y, a chunk at a time.
         Raises BlowUpError when the state stops being finite or its stepping
         raises an ArithmeticError.
         """
@@ -343,8 +337,9 @@ class _Engine:
         # thresholds as x crosses none of them. Both run the same stage
         # arithmetic on the same inputs, so the samples are bit-identical.
         # run hands back every other interval, the first one included, and
-        # it goes to grid_step; a trial that crosses a threshold is grid_step's
-        # first step, and one that stays is checked for finiteness here.
+        # it goes to grid_step with run's trial, if any, as its first step:
+        # grid_step bisects a trial that crosses a threshold and takes one
+        # that stays, whose finiteness is checked here.
         dt = self.dt
         columns = self.waveform.columns
         grid_step, run = self.grid_step, self.run
@@ -356,10 +351,13 @@ class _Engine:
             # takes it for an end, and by the rounding of t
             reach = min(period for period, _ in specs)
             slack = 2e-9 * max(period for period, _ in specs)
-        thresholds, side_of, bounds = self.sorted_thresholds, self.side, self.bounds
-        finite = self.finite
-        if rec is not None:
-            states = rec.state[:, 0] if self.model.state_dim == 1 else rec.state
+        side_of, bounds, finite = self.side, self.bounds, self.finite
+        if traj is not None:
+            states = traj.state[:, 0] if self.model.state_dim == 1 else traj.state
+            traj.t[0] = t0 = k0 * dt
+            traj.u[0] = self.value(t0)
+            states[0] = x
+            _fill(self.model, traj, slice(0, 1))
         xs: list = []
         push = xs.append
         hi = -math.inf
@@ -386,17 +384,13 @@ class _Engine:
                     if (k := len(xs)) == m:
                         break
                     a, t1 = float(g[k]), float(g[k + 1])
+                    x = grid_step(x, a, t1, trial)[-1][1]
                     if trial is None:
-                        x = grid_step(x, a, t1)[-1][1]
                         hi = math.inf
                         if specs:
                             ahead = breaks(t1, t1 + reach)
                             nb = ahead[0] if ahead else t1
                             hi = nb - (slack + 1e-15 * nb) if nb > t1 else -math.inf
-                    elif thresholds and side_of(trial) != side:
-                        x = grid_step(x, a, t1, trial)[-1][1]
-                    else:
-                        x = trial
                     side = side_of(x)
                     if not finite(x):
                         raise BlowUpError(f"state became non-finite at t = {t1}", t1)
@@ -407,62 +401,38 @@ class _Engine:
             finally:
                 # the rows stepped so far, also when the stepping raised: an
                 # output failure among them came first, and is raised instead
-                if rec is not None and xs:
+                if traj is not None and xs:
                     rows = slice(c0 + 1 - k0, c0 + 1 - k0 + len(xs))
-                    rec.t[rows] = T1[: len(xs)]
-                    rec.u[rows] = U[1 : len(xs) + 1]
+                    traj.t[rows] = T1[: len(xs)]
+                    traj.u[rows] = U[1 : len(xs) + 1]
                     states[rows] = xs
-                    rec.fill(rows)
+                    _fill(self.model, traj, rows)
                 xs.clear()
         return x
 
 
-class _Record:
-    """Sample columns of one recorded stretch: row 0 by put, the rest by
-    march and fill, one chunk at a time."""
-
-    def __init__(self, model, rows: int):
-        self.model = model
-        self.t = np.empty(rows)
-        self.u = np.empty(rows)
-        self.y = np.empty(rows)
-        self.state = np.empty((rows, model.state_dim))
-
-    def put(self, row: int, t: float, x: float | tuple, u: float) -> None:
-        self.t[row] = t
-        self.u[row] = u
-        self.state[row] = x
-        self.fill(slice(row, row + 1))
-
-    def fill(self, rows: slice) -> None:
-        """y over rows from the t, u and state stored there, with one call to
-        the model's output_fn under IEEE arithmetic; the first row whose y is
-        not finite is a blow-up at its time. Only a call that raises (a Python
-        ArithmeticError) is walked, one row at a time on one-row slices, to
-        find the first row that raises or is not finite."""
-        X, U, T = self.state[rows], self.u[rows], self.t[rows]
-        y, output_fn = self.y[rows], self.model.output_fn
-        with np.errstate(all="ignore"):
-            try:
-                y[:] = output_fn(X, U, T)
-            except ArithmeticError:
-                for k, t in enumerate(T.tolist()):
-                    try:
-                        y[k : k + 1] = output_fn(X[k : k + 1], U[k : k + 1], T[k : k + 1])
-                    except ArithmeticError as exc:
-                        raise BlowUpError(f"output not finite at t = {t}: {exc}", t) from None
-                    if not math.isfinite(y[k]):
-                        break
-        if not (finite := np.isfinite(y)).all():
-            k = int(np.argmax(~finite))
-            raise BlowUpError(f"output not finite at t = {T[k]}: y = {y[k]}", float(T[k]))
-
-    def trajectory(self, dt: float, n: int) -> Trajectory:
-        v, i = terminal_pair(self.model.input_kind, self.u, self.y)
-        traj = Trajectory(
-            dt=dt, t=self.t, u=self.u, y=self.y, v=v, i=i, state=self.state, steps_per_cycle=n
-        )
-        return accumulate_integrals(traj)
+def _fill(model, traj: Trajectory, rows: slice) -> None:
+    """y over rows from the t, u and state stored there, with one call to the
+    model's output_fn under IEEE arithmetic; the first row whose y is not
+    finite is a blow-up at its time. Only a call that raises (a Python
+    ArithmeticError) is walked, one row at a time on one-row slices, to find
+    the first row that raises or is not finite."""
+    X, U, T = traj.state[rows], traj.u[rows], traj.t[rows]
+    y, output_fn = traj.y[rows], model.output_fn
+    with np.errstate(all="ignore"):
+        try:
+            y[:] = output_fn(X, U, T)
+        except ArithmeticError:
+            for k, t in enumerate(T.tolist()):
+                try:
+                    y[k : k + 1] = output_fn(X[k : k + 1], U[k : k + 1], T[k : k + 1])
+                except ArithmeticError as exc:
+                    raise BlowUpError(f"output not finite at t = {t}: {exc}", t) from None
+                if not math.isfinite(y[k]):
+                    break
+    if not (finite := np.isfinite(y)).all():
+        k = int(np.argmax(~finite))
+        raise BlowUpError(f"output not finite at t = {T[k]}: y = {y[k]}", float(T[k]))
 
 
 def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
@@ -470,10 +440,16 @@ def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
 
     The trajectory holds record_cycles full drive periods (first sample on a
     period boundary, both endpoint samples included) with phi and q zeroed at
-    the first retained sample. Raises BlowUpError if the state leaves the
-    finite range.
+    the first retained sample; march writes its columns in place, v and i
+    being the same arrays as u and y. Raises ConfigError for a
+    current-controlled model on a voltage source or the reverse, and
+    BlowUpError if the state leaves the finite range.
     """
-    check_compatible(model, drive)
+    if model.input_kind is not drive.kind:
+        raise ConfigError(
+            f"model {model.name!r} is {model.input_kind.value}-controlled "
+            f"but the drive imposes a {drive.kind.value}"
+        )
     dt, n = resolve_step(controls, drive.period)
     engine = _Engine(model, drive, dt, _resolve_event_tol(controls, dt))
     start = tuple(float(v) for v in (model.initial_state if x0 is None else x0))
@@ -505,8 +481,9 @@ def simulate(model, drive: Drive, controls: SimControls, x0=None) -> Trajectory:
     first_kept = n * controls.transient_cycles
     total_steps = n * cycles
     x = engine.march(x, 0, first_kept)
-    rec = _Record(model, total_steps - first_kept + 1)
-    t0 = first_kept * dt
-    rec.put(0, t0, x, engine.value(t0))
-    engine.march(x, first_kept, total_steps, rec)
-    return rec.trajectory(dt, n)
+    rows = total_steps - first_kept + 1
+    u, y, state = np.empty(rows), np.empty(rows), np.empty((rows, model.state_dim))
+    v, i = terminal_pair(model.input_kind, u, y)
+    traj = Trajectory(dt, np.empty(rows), u, y, v, i, state, steps_per_cycle=n)
+    engine.march(x, first_kept, total_steps, traj)
+    return accumulate_integrals(traj)

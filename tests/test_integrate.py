@@ -31,7 +31,6 @@ from memlab.core import (
 from memlab.integrate import (
     CHUNK,
     _Engine,
-    _Record,
     _resolve_event_tol,
     resolve_step,
 )
@@ -46,7 +45,7 @@ from memlab.models import (
 )
 
 from oracles import closed_switch_count, r1_of_t, switch_times
-from test_models import _recorded_y
+from test_models import _blank_trajectory, _recorded_y
 
 
 def test_controls_validation():
@@ -718,9 +717,11 @@ def test_plain_stepping_blows_up_like_the_general_path():
     # threshold is never crossed. x' = -1 - x^2 runs to -inf in the loop's
     # second interval, which a bottom bound of -inf would let through; x' =
     # x^2 + (x^2 - x^2) gives a NaN trial there, on the lower side of a
-    # threshold. A capacitor whose r1*cap is far below dt diverges through
-    # the tuple kernel and its switch thresholds, with r1 constant, toggling
-    # inside steps, and toggling hundreds of times a step.
+    # threshold. x' = x^2 from 2 runs to +inf on the top side of its
+    # threshold, a trial the loop hands back without a side change. A
+    # capacitor whose r1*cap is far below dt diverges through the tuple
+    # kernel and its switch thresholds, with r1 constant, toggling inside
+    # steps, and toggling hundreds of times a step.
     for model in (
         m,
         dataclasses.replace(m, threshold_component=0, thresholds=(400.0,)),
@@ -730,6 +731,7 @@ def test_plain_stepping_blows_up_like_the_general_path():
             SignalKind.CURRENT, Rate("x * x + (x * x - x * x)"), g=ones, initial_state=(1.0,),
             thresholds=(1e300,),
         ),
+        memristive(SignalKind.CURRENT, Rate("x * x"), g=ones, initial_state=(2.0,), thresholds=(1.0,)),
         _capacitor(cap=1e-9),
         _capacitor(PiecewiseR1(period=7.0013 * dt), cap=1e-9),
         _capacitor(PiecewiseR1(period=0.0031 * dt), cap=1e-9),
@@ -887,12 +889,11 @@ def test_chunk_edges_record_every_row(model, drive, intervals):
     engine = _Engine(model, drive, dt, _resolve_event_tol(controls, dt))
     k0 = 37
     x = engine.march(_start(model), 0, k0)
-    rec = _Record(model, intervals + 1)
-    rec.put(0, k0 * dt, x, drive.waveform.value(k0 * dt))
-    engine.march(x, k0, k0 + intervals, rec)
+    got = _blank_trajectory(model, intervals + 1, dt)
+    engine.march(x, k0, k0 + intervals, got)
     want = _grid_step_samples(model, drive, controls, k0, k0 + intervals)
     for column in ("t", "u", "y", "state"):
-        assert np.array_equal(getattr(rec, column), getattr(want, column)), column
+        assert np.array_equal(getattr(got, column), getattr(want, column)), column
 
 
 def _literal_rk4(f, value, x, ta, tm, tb, h):
@@ -1051,10 +1052,10 @@ def test_the_recorded_t_column_is_the_grid(k0, dt, intervals):
         name="still",
     )
     engine = _Engine(still, _SINE_I, dt, 1e-3 * dt)
-    rec = _Record(still, intervals + 1)
-    engine.march(0.0, k0, k0 + intervals, rec)
+    got = _blank_trajectory(still, intervals + 1, dt)
+    engine.march(0.0, k0, k0 + intervals, got)
     want = [((k + 1) * dt).hex() for k in range(k0, k0 + intervals)]
-    assert [t.hex() for t in rec.t[1:].tolist()] == want
+    assert [t.hex() for t in got.t[1:].tolist()] == want
 
 
 @given(k=st.integers(0, 10**15), dt=st.floats(1e-300, 1e300))
