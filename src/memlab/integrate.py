@@ -6,11 +6,11 @@ crossings are bisected to within the event tolerance. The sample grid itself is
 untouched; all splitting is internal to a grid step.
 
 One template of the RK4 stage arithmetic is compiled per run into a single
-step, which the splitter runs, and a stepping loop, which steps a chunk of
-grid intervals in compiled code and hands back to the splitter each interval
-near a break and each trial that leaves its threshold side or is not finite,
-the trial as the splitter's first step. The loop records straight into the
-Trajectory that simulate returns, its start state in row 0.
+step, which the splitter runs, and a stepping loop, which steps a chunk's
+break-free grid intervals in compiled code and hands back to the splitter
+each trial that leaves its threshold side or is not finite, as its first
+step. The loop records straight into the Trajectory that simulate returns,
+its start state in row 0.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .core import (
 )
 
 
-# the most grid steps one run may take: about 21 s at 1.05 us a one-state step
+# the most grid steps one run may take: about 19 s at 0.95 us a one-state step
 # (fig6_7 on a 2-vCPU Xeon, CPython 3.11), and a record of at most 1 GB
 MAX_GRID_STEPS = 20_000_000
 
@@ -134,20 +134,22 @@ def _kernels(f, n, monitor):
     stands for the component's index), and whether f reads t.
 
     rk4(x, u1, um, u4, ta, tm, tb, h) takes one classical RK4 step. run(x,
-    u1, grid, lo, up, hi, push) takes it over each grid row (tb, um, u4, h,
-    0.5*h, h/6.0, then ta, tm if f reads t), u1 being the row before's u4,
-    and pushes each new state y. It returns (x, None) when the rows end or
-    at a tb past hi, not stepped, and (x, y), not pushed, at a y whose
-    monitored component fails lo <= y < up or whose others are not finite.
+    u1, grid, lo, up, push) takes it over each grid row (um, u4, h, 0.5*h,
+    h/6.0, then ta, tm, tb if f reads t), u1 being the row before's u4, and
+    pushes each new state y. It returns (x, None) when the rows end, and (x,
+    y), not pushed, at a y whose monitored component fails lo <= y < up or
+    whose others are not finite.
 
     One state steps a float, a larger state a tuple, each rate unpacked into
     exactly n components, so a derivative of another length raises
     ValueError. A stage writes in a Rate's expression, or the call f(x, u, t)
     for any other f, with x, u and t renamed to the stage's state, input and
-    time and each bound name to "_" + name, which no name of the template
-    starts with. Every component takes the same operations in the same order."""
+    time and each bound name to "_" + name, which no template name starts
+    with, a default argument of both kernels, so a stage reads it as a
+    local. Every component takes the same operations in the same order."""
     rate = f if isinstance(f, Rate) else Rate("f(x, u, t)", {"f": f})
     scope = {"_" + name: value for name, value in rate.names.items()}
+    bound = "".join(f", {name}={name}" for name in scope)
     tree = ast.parse(rate.source, mode="eval")
     reads_t = any(isinstance(node, ast.Name) and node.id == "t" for node in ast.walk(tree))
 
@@ -178,15 +180,13 @@ y = {state('x# + h6 * (a# + 2.0 * (b# + c#) + d#)')}
     stays = "lo <= y < up" if n == 1 else " and ".join(
         f"lo <= y[{i}] < up" if i == monitor else f"-{top} <= y[{i}] <= {top}" for i in range(n)
     )
-    src = f"""def rk4(x, u1, um, u4, ta, tm, tb, h):
+    src = f"""def rk4(x, u1, um, u4, ta, tm, tb, h{bound}):
     h2 = 0.5 * h
     h6 = h / 6.0
 {textwrap.indent(step, "    ")}    return y
 
-def run(x, u1, grid, lo, up, hi, push):
-    for tb, um, u4, h, h2, h6{", ta, tm" if reads_t else ""} in grid:
-        if tb > hi:
-            return x, None
+def run(x, u1, grid, lo, up, push{bound}):
+    for um, u4, h, h2, h6{", ta, tm, tb" if reads_t else ""} in grid:
 {textwrap.indent(step, "        ")}        if not ({stays}):
             return x, y
         x = y
@@ -336,10 +336,11 @@ class _Engine:
         # the interval ends, and a finite trial between the same two
         # thresholds as x crosses none of them. Both run the same stage
         # arithmetic on the same inputs, so the samples are bit-identical.
-        # run hands back every other interval, the first one included, and
-        # it goes to grid_step with run's trial, if any, as its first step:
-        # grid_step bisects a trial that crosses a threshold and takes one
-        # that stays, whose finiteness is checked here.
+        # run steps the rows from the next interval to the last one ending at
+        # or before hi, memoryview slices of the chunk's columns; every other
+        # interval, the first one included, goes to grid_step with run's
+        # trial, if any, as its first step: grid_step bisects a trial that
+        # crosses a threshold and takes one that stays, checked finite here.
         dt = self.dt
         columns = self.waveform.columns
         grid_step, run = self.grid_step, self.run
@@ -374,13 +375,15 @@ class _Engine:
             H2 = 0.5 * H
             TM = A + H2
             U = columns(g)
-            cols = [T1, columns(TM), U[1:], H, H2, H / 6.0]
+            cols = [columns(TM), U[1:], H, H2, H / 6.0]
             if self.reads_t:
-                cols += [A, TM]
-            grid = zip(*(col.tolist() for col in cols))
+                cols += [A, TM, T1]
+            cols = [memoryview(col) for col in cols]
             try:
                 while True:
-                    x, trial = run(x, float(U[len(xs)]), grid, *bounds[side], hi, push)
+                    k, stop = len(xs), T1.searchsorted(hi, side="right")
+                    grid = zip(*(col[k:stop] for col in cols))
+                    x, trial = run(x, float(U[k]), grid, *bounds[side], push)
                     if (k := len(xs)) == m:
                         break
                     a, t1 = float(g[k]), float(g[k + 1])
