@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, Drive, MemlabError, SquareWave, Trajectory
+from .core import ConfigError, Drive, MemlabError, SquareWave, Trajectory, check_period
 from .integrate import SimControls, SimulationError, resolve_step, simulate
 
 
@@ -339,12 +339,14 @@ def check_analyses(analyses, drive: Drive, controls: SimControls) -> None:
 
 
 def check_sweep_frequencies(freqs) -> None:
-    """Raise ConfigError unless the sweep list is non-empty, positive and
-    strictly increasing."""
+    """Raise ConfigError unless the sweep list is non-empty, positive, of
+    finite periods and strictly increasing."""
     if not freqs:
         raise ConfigError("sweep needs at least one frequency")
     if any(f <= 0.0 for f in freqs):
         raise ConfigError("sweep frequencies must be > 0")
+    for f in freqs:
+        check_period(f, "sweep frequency")
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
         raise ConfigError("sweep frequencies must be strictly increasing")
 

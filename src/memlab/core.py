@@ -32,12 +32,31 @@ class SignalKind(enum.Enum):
     VOLTAGE = "voltage"
 
 
-def check_finite(obj) -> None:
-    """Raise ConfigError if a float field of the dataclass obj is NaN or infinite."""
-    for field in fields(obj):
-        value = getattr(obj, field.name)
+def check_finite(obj, prefix: str = "") -> None:
+    """Raise ConfigError if a float field of the dataclass obj is NaN or
+    infinite; then, in field order, at a number outside the bound (op, limit)
+    its field's metadata declares, op ">" or ">=", as "{prefix}{name} must be
+    {op} {limit}", or at a value refused by the function the metadata names
+    as "check". None and non-numbers are not compared."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{type(obj).__name__}.{field.name} must be finite, got {value!r}")
+            raise ConfigError(f"{type(obj).__name__}.{f.name} must be finite, got {value!r}")
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if "bound" in f.metadata and isinstance(value, (int, float)):
+            op, limit = f.metadata["bound"]
+            if not (value > limit if op == ">" else value >= limit):
+                raise ConfigError(f"{prefix}{f.name} must be {op} {limit}")
+        if "check" in f.metadata:
+            f.metadata["check"](value)
+
+
+def check_period(frequency: float, what: str) -> None:
+    """Raise ConfigError unless the period 1/frequency is finite: a frequency
+    below 1/sys.float_info.max, about 5.6e-309 Hz, has none."""
+    if not math.isfinite(1.0 / frequency):
+        raise ConfigError(f"{what} {frequency!r} Hz has no finite period")
 
 
 # ---------------------------------------------------------------------------
@@ -46,16 +65,13 @@ def check_finite(obj) -> None:
 
 @dataclass(frozen=True)
 class Sinusoid:
-    amplitude: float
-    frequency: float
+    amplitude: float = field(metadata={"bound": (">=", 0)})
+    frequency: float = field(metadata={"bound": (">", 0)})
     phase: float = 0.0
 
     def __post_init__(self):
-        check_finite(self)
-        if self.amplitude < 0.0:
-            raise ConfigError("sinusoid amplitude must be >= 0")
-        if self.frequency <= 0.0:
-            raise ConfigError("sinusoid frequency must be > 0")
+        check_finite(self, "sinusoid ")
+        check_period(self.frequency, "sinusoid frequency")
 
     def value(self, t: float) -> float:
         # 2*pi*frequency*t evaluates left to right, as in columns
@@ -74,16 +90,13 @@ class Sinusoid:
 class SquareWave:
     """Bipolar square pulse train: +amplitude for the duty fraction, then -amplitude."""
 
-    amplitude: float
-    frequency: float
+    amplitude: float = field(metadata={"bound": (">=", 0)})
+    frequency: float = field(metadata={"bound": (">", 0)})
     duty: float = 0.5
 
     def __post_init__(self):
-        check_finite(self)
-        if self.amplitude < 0.0:
-            raise ConfigError("square wave amplitude must be >= 0")
-        if self.frequency <= 0.0:
-            raise ConfigError("square wave frequency must be > 0")
+        check_finite(self, "square wave ")
+        check_period(self.frequency, "square wave frequency")
         if not 0.0 < self.duty <= 1.0:
             raise ConfigError("square wave duty must be in (0, 1]")
 

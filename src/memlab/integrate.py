@@ -20,7 +20,7 @@ import math
 import sys
 import textwrap
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -74,21 +74,13 @@ class SimControls:
     and below dt) bounds how precisely threshold crossings are localized.
     """
 
-    dt: float | None = None
-    transient_cycles: int = 2
-    record_cycles: int = 2
-    event_tolerance: float | None = None
+    dt: float | None = field(default=None, metadata={"bound": (">", 0)})
+    transient_cycles: int = field(default=2, metadata={"bound": (">=", 0)})
+    record_cycles: int = field(default=2, metadata={"bound": (">=", 1)})
+    event_tolerance: float | None = field(default=None, metadata={"bound": (">", 0)})
 
     def __post_init__(self):
         check_finite(self)
-        if self.dt is not None and self.dt <= 0.0:
-            raise ConfigError("dt must be > 0")
-        if self.transient_cycles < 0:
-            raise ConfigError("transient_cycles must be >= 0")
-        if self.record_cycles < 1:
-            raise ConfigError("record_cycles must be >= 1")
-        if self.event_tolerance is not None and self.event_tolerance <= 0.0:
-            raise ConfigError("event_tolerance must be > 0")
 
 
 def resolve_step(controls: SimControls, period: float) -> tuple[float, int]:

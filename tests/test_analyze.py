@@ -25,6 +25,7 @@ from memlab.analyze import (
     SweepPoint,
     _monotone_runs,
     _zero_crossings,
+    check_sweep_frequencies,
     per_cycle_drifts,
     phi_spread_at_equal_q,
     sweep_monotonicity,
@@ -364,3 +365,19 @@ def test_a_current_of_1e_170_amperes_reverses():
 def test_monotone_runs_match_the_loop(values, ends):
     q = _with_zero_ends(values, ends)
     assert _monotone_runs(q) == _monotone_runs_loop(q)
+
+
+@pytest.mark.parametrize(
+    "freqs, message",
+    [
+        ([1e-310, 0.1], "sweep frequency 1e-310 Hz has no finite period"),
+        ([1e-310, 0.0], "sweep frequencies must be > 0"),
+        ([0.2, 1e-310], "sweep frequency 1e-310 Hz has no finite period"),
+    ],
+    ids=["alone", "after-a-zero", "before-a-decrease"],
+)
+def test_a_sweep_frequency_without_a_finite_period_is_refused(freqs, message):
+    # the list checks run in order: positive, finite periods, increasing
+    with pytest.raises(ConfigError) as exc:
+        check_sweep_frequencies(freqs)
+    assert str(exc.value) == message

@@ -440,6 +440,35 @@ def test_a_bad_sweep_list_exits_2_at_the_sweep(command, sweep, message, tmp_path
     assert sorted(tmp_path.iterdir()) == [src]
 
 
+# 1/1e-310 overflows to inf: a frequency below 1/sys.float_info.max has no
+# period a run could step or a sweep could resolve
+@pytest.mark.parametrize(
+    "drive, analyze, message",
+    [
+        ("square", "", "line 3, col 15: square wave frequency 1e-310 Hz has no finite period"),
+        ("sinusoid", "", "line 3, col 15: sinusoid frequency 1e-310 Hz has no finite period"),
+        (
+            "sinusoid",
+            "analyze { loop_area sweep(1e-310 Hz, 0.1 Hz) }\n",
+            "line 4, col 21: sweep frequency 1e-310 Hz has no finite period",
+        ),
+    ],
+    ids=["square", "sinusoid", "sweep"],
+)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_frequency_without_a_finite_period_exits_2(command, drive, analyze, message, tmp_path, capsys):
+    frequency = "0.1 Hz" if analyze else "1e-310 Hz"
+    src = tmp_path / "exp.dsl"
+    src.write_text(
+        "experiment slow\nmodel switched { q0 = 0.3 }\n"
+        f"drive current {drive} {{ amplitude = 1 A  frequency = {frequency} }}\n{analyze}"
+    )
+    assert main([command, str(src), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [src]
+
+
 # ---------------------------------------------------------------------------
 # main on generated descriptions
 

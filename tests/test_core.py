@@ -136,6 +136,28 @@ def test_drive_properties():
     assert d.frequency == 0.25  # original untouched
 
 
+@pytest.mark.parametrize("wave, name", [(Sinusoid, "sinusoid"), (SquareWave, "square wave")])
+def test_a_frequency_without_a_finite_period_is_refused(wave, name):
+    # 1/1e-310 overflows to inf; with_frequency builds its waveform anew, so
+    # a drive retuned there is refused as well
+    message = f"{name} frequency 1e-310 Hz has no finite period"
+    for build in (
+        lambda: wave(amplitude=1.0, frequency=1e-310),
+        lambda: Drive(SignalKind.CURRENT, wave(amplitude=1.0, frequency=1.0)).with_frequency(1e-310),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+    # a bound before it in field order is reported first, and duty after it
+    with pytest.raises(ConfigError) as exc:
+        wave(amplitude=-1.0, frequency=1e-310)
+    assert str(exc.value) == f"{name} amplitude must be >= 0"
+    if wave is SquareWave:
+        with pytest.raises(ConfigError) as exc:
+            SquareWave(amplitude=1.0, frequency=1e-310, duty=0.0)
+        assert str(exc.value) == message
+
+
 def test_terminal_pair_orientation():
     u = np.array([1.0, 2.0])
     y = np.array([10.0, 20.0])
