@@ -72,6 +72,9 @@ class Sinusoid:
     def __post_init__(self):
         check_finite(self, "sinusoid ")
         check_period(self.frequency, "sinusoid frequency")
+        # value's phase argument starts with 2*pi*frequency
+        if not math.isfinite(2.0 * math.pi * self.frequency):
+            raise ConfigError(f"sinusoid frequency {self.frequency!r} Hz overflows 2*pi*frequency")
 
     def value(self, t: float) -> float:
         # 2*pi*frequency*t evaluates left to right, as in columns

@@ -266,6 +266,10 @@ class _Parser:
         params = self._built(model_tok, self._model_params, model_kind, model_values, drive)
         for analysis, tok in analyses.items():
             self._built(tok, check_analyses, (analysis,), drive, controls)
+        # each swept drive is built here, so that a frequency the waveform
+        # refuses (a sinusoid's overflowing 2*pi*f) is an error at the sweep
+        for frequency in sweep:
+            self._built(analyses["sweep"], drive.with_frequency, frequency)
 
         return ExperimentConfig(
             name=name,

@@ -5,12 +5,14 @@ jump: periodic time breakpoints are split analytically, state-threshold
 crossings are bisected to within the event tolerance. The sample grid itself is
 untouched; all splitting is internal to a grid step.
 
-One template of the RK4 stage arithmetic is compiled per run into a single
-step, which the splitter runs, and a stepping loop, which steps a chunk's
-break-free grid intervals in compiled code and hands back to the splitter
-each trial that leaves its threshold side or is not finite, as its first
-step. The loop records straight into the Trajectory that simulate returns,
-its start state in row 0.
+One template of the RK4 stage arithmetic, written out for the state size and
+for the state components the rate reads, is compiled once per process into a
+single step, which the splitter takes, the bisection of a threshold crossing,
+and a stepping loop, which steps a chunk's break-free grid intervals in
+compiled code and hands back to the splitter each trial that leaves its
+threshold side or is not finite, as its first step. Each run binds its own
+values to the cached code. The loop records straight into the Trajectory
+that simulate returns, its start state in row 0.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 import textwrap
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -85,8 +87,6 @@ class SimControls:
 
 def resolve_step(controls: SimControls, period: float) -> tuple[float, int]:
     """Effective (dt, steps_per_cycle): dt divides the period, step count even."""
-    if period <= 0.0:
-        raise ConfigError("drive period must be > 0")
     if controls.dt is None:
         n = 2000
     else:
@@ -120,77 +120,161 @@ def _resolve_event_tol(controls: SimControls, dt: float) -> float:
     return controls.event_tolerance
 
 
-def _kernels(f, n, monitor):
-    """The RK4 kernels of an n-state model on f(x, u, t), compiled from one
-    template of the stage arithmetic written out component by component (#
-    stands for the component's index), and whether f reads t.
+def _components_read(tree, n: int) -> tuple[int, ...] | None:
+    """The components of x a rate's expression reads, when it reads x only as
+    x[i] with a constant int 0 <= i < n, and for one state not at all; else
+    None."""
+    xs = sum(isinstance(node, ast.Name) and node.id == "x" for node in ast.walk(tree))
+    parts = [
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "x"
+        and isinstance(node.slice, ast.Constant) and type(node.slice.value) is int
+        and n > 1 and 0 <= node.slice.value < n
+    ]
+    return tuple(sorted(set(parts))) if len(parts) == xs else None
 
-    rk4(x, u1, um, u4, ta, tm, tb, h) takes one classical RK4 step. run(x,
-    u1, grid, lo, up, push) takes it over each grid row (um, u4, h, 0.5*h,
-    h/6.0, then ta, tm, tb if f reads t), u1 being the row before's u4, and
-    pushes each new state y. It returns (x, None) when the rows end, and (x,
-    y), not pushed, at a y whose monitored component fails lo <= y < up or
-    whose others are not finite.
+
+class _Stage(ast.NodeTransformer):
+    """A rate's expression as one RK4 stage reads it: each name renamed by
+    names, and where split, x[i] read as the local names["x"] + str(i)."""
+
+    def __init__(self, names: dict, split: bool):
+        self.names, self.split = names, split
+
+    def visit_Name(self, node):
+        node.id = self.names.get(node.id, node.id)
+        return node
+
+    def visit_Subscript(self, node):
+        if self.split and isinstance(node.value, ast.Name) and node.value.id == "x":
+            return ast.Name(self.names["x"] + str(node.slice.value))
+        return self.generic_visit(node)
+
+
+@lru_cache(maxsize=64)
+def _kernel_code(source: str, names: tuple[str, ...], n: int, monitor: int):
+    """The code of the RK4 kernels of an n-state model whose rate is the
+    expression source on the bound names, monitoring component monitor, and
+    whether the rate reads t. A run execs the code with its own values, so
+    the cache keeps no value of a run.
+
+    One template of the stage arithmetic, written out component by component
+    (# stands for the component's index), is compiled into three functions.
+    step(x, a, b, at_a=False, at_b=False) takes one classical RK4 step over
+    [a, b]. run(x, u1, grid, lo, up, push) takes it over each grid row (um,
+    u4, h, 0.5*h, h/6.0, then ta, tm, tb if the rate reads t), u1 being the
+    row before's u4, and pushes each new state y; it returns (x, None) when
+    the rows end, and (x, y), not pushed, at a y whose monitored component
+    fails lo <= y < up or whose others are not finite. locate(x, x_hi, a, hi,
+    at_a, side) bisects a threshold crossing of x_hi, the step over [a, a +
+    hi], off side (the count of thresholds at or below the monitored
+    component): each probe steps over [a, a + mid] as step does, mid halving
+    [lo, hi], until hi - lo <= tol or after MAX_BISECT probes. It returns
+    (lo, hi, x_hi), x_hi the probe at a + hi.
 
     One state steps a float, a larger state a tuple, each rate unpacked into
     exactly n components, so a derivative of another length raises
-    ValueError. A stage writes in a Rate's expression, or the call f(x, u, t)
-    for any other f, with x, u and t renamed to the stage's state, input and
-    time and each bound name to "_" + name, which no template name starts
-    with, a default argument of both kernels, so a stage reads it as a
-    local. Every component takes the same operations in the same order."""
-    rate = f if isinstance(f, Rate) else Rate("f(x, u, t)", {"f": f})
-    scope = {"_" + name: value for name, value in rate.names.items()}
-    bound = "".join(f", {name}={name}" for name in scope)
-    tree = ast.parse(rate.source, mode="eval")
+    ValueError. A stage writes in the rate's expression with x, u and t
+    renamed to the stage's state, input and time, and each bound name to "_"
+    + name, which no template name starts with, a default argument of each
+    kernel, so a stage reads it as a local. A rate that reads x only as x[i]
+    with constant i (for one state, not at all) reads a stage's state as one
+    local per component read, and its other components are not computed.
+    Every component takes the same operations in the same order."""
+    tree = ast.parse(source, mode="eval")
     reads_t = any(isinstance(node, ast.Name) and node.id == "t" for node in ast.walk(tree))
+    split = _components_read(tree, n)
+    bound = "".join(f", _{name}=_{name}" for name in names)
 
-    def state(term):
+    def components(term):
         each = ", ".join(term.replace("#", str(i)) for i in range(n))
         return each if n == 1 else f"({each})"
 
+    def state(name, term):
+        if split is None:
+            return f"{name} = {components(term)}\n"
+        return "".join(f"{name}{i} = {term.replace('#', str(i))}\n" for i in split)
+
     def derivative(x, u, t):
-        renamed = {**{name: "_" + name for name in rate.names}, "x": x, "u": u, "t": t}
-        tree = ast.parse(rate.source, mode="eval")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                node.id = renamed.get(node.id, node.id)
-        return ast.unparse(tree)
+        renamed = {**{name: "_" + name for name in names}, "x": x, "u": u, "t": t}
+        return ast.unparse(_Stage(renamed, split is not None).visit(ast.parse(source, mode="eval")))
 
-    step = f"""{state('x#')} = x
-{state('a#')} = {derivative('x', 'u1', 'ta')}
-xb = {state('x# + h2 * a#')}
-{state('b#')} = {derivative('xb', 'um', 'tm')}
-xc = {state('x# + h2 * b#')}
-{state('c#')} = {derivative('xc', 'um', 'tm')}
-xd = {state('x# + h * c#')}
-{state('d#')} = {derivative('xd', 'u4', 'tb')}
-y = {state('x# + h6 * (a# + 2.0 * (b# + c#) + d#)')}
+    stages = f"""{components('x#')} = x
+{components('a#')} = {derivative('x', 'u1', 'ta')}
+{state('xb', 'x# + h2 * a#')}{components('b#')} = {derivative('xb', 'um', 'tm')}
+{state('xc', 'x# + h2 * b#')}{components('c#')} = {derivative('xc', 'um', 'tm')}
+{state('xd', 'x# + h * c#')}{components('d#')} = {derivative('xd', 'u4', 'tb')}
+y = {components('x# + h6 * (a# + 2.0 * (b# + c#) + d#)')}
 """
-
+    # a stage at an end that is a break (at_a, at_b) is taken 1e-9 of the
+    # step inside, and at least 1e-15 of t, past the rounding by which a
+    # waveform's own switch can miss the break time: it resolves on this
+    # step's side
+    times = """h = b - a
+ta = a + max(1e-9 * h, 1e-15 * abs(a)) if at_a else a
+tb = b - max(1e-9 * h, 1e-15 * abs(b)) if at_b else b
+tm = a + 0.5 * h
+h2 = 0.5 * h
+h6 = h / 6.0
+"""
     top = repr(sys.float_info.max)
     stays = "lo <= y < up" if n == 1 else " and ".join(
         f"lo <= y[{i}] < up" if i == monitor else f"-{top} <= y[{i}] <= {top}" for i in range(n)
     )
-    src = f"""def rk4(x, u1, um, u4, ta, tm, tb, h{bound}):
-    h2 = 0.5 * h
-    h6 = h / 6.0
-{textwrap.indent(step, "    ")}    return y
+    src = f"""def step(x, a, b, at_a=False, at_b=False, value=value{bound}):
+{textwrap.indent(times, "    ")}    u1 = value(ta)
+    um = value(tm)
+    u4 = value(tb)
+{textwrap.indent(stages, "    ")}    return y
 
 def run(x, u1, grid, lo, up, push{bound}):
     for um, u4, h, h2, h6{", ta, tm, tb" if reads_t else ""} in grid:
-{textwrap.indent(step, "        ")}        if not ({stays}):
+{textwrap.indent(stages, "        ")}        if not ({stays}):
             return x, y
         x = y
         push(y)
         u1 = u4
     return x, None
+
+def locate(x, x_hi, a, hi, at_a, side, value=value, thresholds=thresholds, tol=tol,
+           bisect_right=bisect_right{bound}):
+    lo = 0.0
+    at_b = False
+    if not at_a:
+        u1 = value(a)
+    probes = 0
+    while hi - lo > tol and probes < {MAX_BISECT}:
+        probes += 1
+        mid = 0.5 * (lo + hi)
+        b = a + mid
+{textwrap.indent(times, "        ")}        if at_a:
+            u1 = value(ta)
+        um = value(tm)
+        u4 = value(tb)
+{textwrap.indent(stages, "        ")}        if bisect_right(thresholds, {"y" if n == 1 else f"y[{monitor}]"}) != side:
+            hi = mid
+            x_hi = y
+        else:
+            lo = mid
+    return lo, hi, x_hi
 """
+    return compile(src, f"<rk4 on {n} states>", "exec"), reads_t
+
+
+def _kernels(f, n, monitor, value, thresholds, tol):
+    """step, run and locate (see _kernel_code) for an n-state model on f, a
+    Rate, or any f(x, u, t), which the stages call; value is the drive's,
+    and thresholds and tol those of locate. Also whether f reads t."""
+    source, names = (f.source, f.names) if isinstance(f, Rate) else ("f(x, u, t)", {"f": f})
+    code, reads_t = _kernel_code(source, tuple(names), n, monitor)
+    scope = {"_" + name: bound for name, bound in names.items()}
+    scope.update(value=value, thresholds=thresholds, tol=tol, bisect_right=bisect_right)
     # defined apart from the scope they read, so that no reference cycle
     # holds the kernels past the run
     kernels: dict = {}
-    exec(compile(src, f"<rk4 on {n} states>", "exec"), scope, kernels)
-    return kernels["rk4"], kernels["run"], reads_t
+    exec(code, scope, kernels)
+    return kernels["step"], kernels["run"], kernels["locate"], reads_t
 
 
 class _Engine:
@@ -212,7 +296,9 @@ class _Engine:
         # bounds[side(x)] the (lo, up) that run keeps a state between: lo <=
         # x < up holds for a finite x on that side, and for nothing else
         monitor = model.threshold_component
-        self.rk4, self.run, self.reads_t = _kernels(model.f, model.state_dim, monitor)
+        self.step, self.run, self.locate, self.reads_t = _kernels(
+            model.f, model.state_dim, monitor, self.value, thresholds, event_tol
+        )
         top = sys.float_info.max
         cuts = (-top, *(max(th, -top) for th in thresholds), math.inf)
         self.bounds = list(zip(cuts, cuts[1:]))
@@ -253,19 +339,6 @@ class _Engine:
                 merged.append(tb)
         return merged
 
-    def step(self, x: float | tuple, a: float, b: float, at_a: bool = False, at_b: bool = False):
-        # One classical RK4 step of x (a float for one state, else a tuple)
-        # over a smooth sub-interval. A stage at an end that is a break (at_a,
-        # at_b) is taken 1e-9 of the step inside, and at least 1e-15 of t, past
-        # the rounding by which a waveform's own switch can miss the break
-        # time: it resolves on this sub-step's side.
-        h = b - a
-        ta = a + max(1e-9 * h, 1e-15 * abs(a)) if at_a else a
-        tb = b - max(1e-9 * h, 1e-15 * abs(b)) if at_b else b
-        tm = a + 0.5 * h
-        value = self.value
-        return self.rk4(x, value(ta), value(tm), value(tb), ta, tm, tb, h)
-
     def grid_step(self, x: float | tuple, t0: float, t1: float, trial=None) -> list:
         """Advance x over the grid interval [t0, t1], split at events; returns
         the sub-step ends [(t, x), ...], the last at t1.
@@ -273,9 +346,9 @@ class _Engine:
         The breaks strictly inside are split exactly. A step crosses a
         threshold when the count of thresholds at or below the monitored
         state component changes, and the crossing is bisected on the step
-        size until the bracket is below event_tol, the step landing on the
-        crossed side. trial, when given, is step(x, t0, t1) already taken
-        over an interval without breaks.
+        size by locate until the bracket is below event_tol, the step landing
+        on the crossed side. trial, when given, is step(x, t0, t1) already
+        taken over an interval without breaks.
         """
         ends = self.breaks(t0, t1)
         bounds = [t0, *[tb for tb in ends if t0 < tb < t1], t1]
@@ -293,22 +366,11 @@ class _Engine:
                     out.append((b, x1))
                     x = x1
                     break
-                lo, hi, x_hi = 0.0, b - a, x1
-                iters = 0
-                while hi - lo > self.event_tol:
-                    iters += 1
-                    if iters > MAX_BISECT:
-                        raise EventLocalizationError(
-                            f"threshold crossing near t = {a} not localized in {MAX_BISECT} bisections"
-                        )
-                    mid = 0.5 * (lo + hi)
-                    probe = step(x, a, a + mid, at_a)
-                    if side_of(probe) != side:
-                        hi = mid
-                        x_hi = probe
-                    else:
-                        lo = mid
-                x = x_hi
+                lo, hi, x = self.locate(x, x1, a, b - a, at_a, side)
+                if hi - lo > self.event_tol:
+                    raise EventLocalizationError(
+                        f"threshold crossing near t = {a} not localized in {MAX_BISECT} bisections"
+                    )
                 a = a + hi
                 at_a = False
                 out.append((a, x))

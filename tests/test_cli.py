@@ -441,23 +441,34 @@ def test_a_bad_sweep_list_exits_2_at_the_sweep(command, sweep, message, tmp_path
 
 
 # 1/1e-310 overflows to inf: a frequency below 1/sys.float_info.max has no
-# period a run could step or a sweep could resolve
+# period a run could step or a sweep could resolve. 2*pi*1e308 overflows to
+# inf, so a sinusoid at 1e308 Hz has no phase to take the sine of; a sweep
+# builds each swept drive while parsing, so it is refused at the sweep too
 @pytest.mark.parametrize(
-    "drive, analyze, message",
+    "drive, frequency, analyze, message",
     [
-        ("square", "", "line 3, col 15: square wave frequency 1e-310 Hz has no finite period"),
-        ("sinusoid", "", "line 3, col 15: sinusoid frequency 1e-310 Hz has no finite period"),
+        ("square", "1e-310 Hz", "", "line 3, col 15: square wave frequency 1e-310 Hz has no finite period"),
+        ("sinusoid", "1e-310 Hz", "", "line 3, col 15: sinusoid frequency 1e-310 Hz has no finite period"),
         (
             "sinusoid",
+            "0.1 Hz",
             "analyze { loop_area sweep(1e-310 Hz, 0.1 Hz) }\n",
             "line 4, col 21: sweep frequency 1e-310 Hz has no finite period",
         ),
+        ("sinusoid", "1e308 Hz", "", "line 3, col 15: sinusoid frequency 1e+308 Hz overflows 2*pi*frequency"),
+        (
+            "sinusoid",
+            "0.1 Hz",
+            "analyze { loop_area sweep(0.1 Hz, 1e308 Hz) }\n",
+            "line 4, col 21: sinusoid frequency 1e+308 Hz overflows 2*pi*frequency",
+        ),
     ],
-    ids=["square", "sinusoid", "sweep"],
+    ids=["square", "sinusoid", "sweep", "sinusoid-2-pi-f", "sweep-2-pi-f"],
 )
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_a_frequency_without_a_finite_period_exits_2(command, drive, analyze, message, tmp_path, capsys):
-    frequency = "0.1 Hz" if analyze else "1e-310 Hz"
+def test_a_frequency_without_a_finite_period_exits_2(
+    command, drive, frequency, analyze, message, tmp_path, capsys
+):
     src = tmp_path / "exp.dsl"
     src.write_text(
         "experiment slow\nmodel switched { q0 = 0.3 }\n"

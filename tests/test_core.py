@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,24 @@ def test_drive_properties():
     assert d2.amplitude == 0.5
     assert d2.kind is SignalKind.CURRENT
     assert d.frequency == 0.25  # original untouched
+
+
+def test_a_sinusoid_whose_angular_frequency_overflows_is_refused():
+    # value takes sin(2*pi*frequency*t + phase); past sys.float_info.max /
+    # (2*pi), about 2.86e307 Hz, 2*pi*frequency is inf and every sample NaN.
+    # A square wave takes no 2*pi*frequency, and builds
+    big = sys.float_info.max / 4.0
+    message = f"sinusoid frequency {big!r} Hz overflows 2*pi*frequency"
+    for build in (
+        lambda: Sinusoid(amplitude=1.0, frequency=big),
+        lambda: Drive(SignalKind.CURRENT, Sinusoid(amplitude=1.0, frequency=1.0)).with_frequency(big),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+    ok = Sinusoid(amplitude=1.0, frequency=sys.float_info.max / 8.0)
+    assert math.isfinite(ok.value(0.0))
+    assert SquareWave(amplitude=1.0, frequency=big).value(0.0) == 1.0
 
 
 @pytest.mark.parametrize("wave, name", [(Sinusoid, "sinusoid"), (SquareWave, "square wave")])
