@@ -16,6 +16,9 @@ import numpy as np
 from .core import ConfigError, Drive, MemlabError, SquareWave, Trajectory, check_period
 from .integrate import SimControls, SimulationError, resolve_step, simulate
 
+ORIGIN_TOL_REL = 0.01  # loop_area's origin passage, a share of max|v|
+PHI_Q_TOL_REL = 1e-3  # phi_q_classify's drift and spread, shares of a range
+
 
 def _zero_crossings(a: np.ndarray, b: np.ndarray) -> list[tuple[int, float, float]]:
     """Sign changes of a, with b linearly interpolated at each crossing.
@@ -111,10 +114,10 @@ def _shoelace(x: np.ndarray, y: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def loop_area(traj: Trajectory, origin_tol_rel: float = 0.01) -> LoopArea:
+def loop_area(traj: Trajectory) -> LoopArea:
     """Shoelace area of one cycle's (i, v) polygon.
 
-    Current sign changes whose interpolated |v| is below origin_tol_rel times
+    Current sign changes whose interpolated |v| is below ORIGIN_TOL_REL times
     max|v| are treated as origin passages; with two or more of them the polygon
     is split there and lobe magnitudes are summed (a raw signed shoelace would
     cancel the figure-eight lobes against each other).
@@ -129,7 +132,7 @@ def loop_area(traj: Trajectory, origin_tol_rel: float = 0.01) -> LoopArea:
 
     cuts = []
     for k, frac, v_star in _zero_crossings(i, v):
-        if v_max == 0.0 or abs(v_star) <= origin_tol_rel * v_max:
+        if v_max == 0.0 or abs(v_star) <= ORIGIN_TOL_REL * v_max:
             cuts.append((k + frac, v_star))
 
     if len(cuts) >= 2:
@@ -254,12 +257,12 @@ def phi_spread_at_equal_q(traj: Trajectory, cycle_index: int = -1) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def phi_q_classify(traj: Trajectory, tol_rel: float = 1e-3) -> PhiQClassification:
+def phi_q_classify(traj: Trajectory) -> PhiQClassification:
     """Classify the flux-charge orbit of a multi-cycle trajectory.
 
-    Open when either integral drifts per cycle by more than tol_rel of its
-    range; otherwise closed, and single-valued when the phi spread at equal q
-    stays within tol_rel of the phi range.
+    Open when either integral drifts per cycle by more than PHI_Q_TOL_REL of
+    its range; otherwise closed, and single-valued when the phi spread at
+    equal q stays within PHI_Q_TOL_REL of the phi range.
     """
     drifts = per_cycle_drifts(traj)
     dq = float(np.mean([d[0] for d in drifts]))
@@ -268,11 +271,11 @@ def phi_q_classify(traj: Trajectory, tol_rel: float = 1e-3) -> PhiQClassificatio
     phi_range = float(np.ptp(traj.phi))
     spread = phi_spread_at_equal_q(traj)
 
-    open_q = abs(dq) > tol_rel * q_range if q_range > 0.0 else abs(dq) > 0.0
-    open_phi = abs(dphi) > tol_rel * phi_range if phi_range > 0.0 else abs(dphi) > 0.0
+    open_q = abs(dq) > PHI_Q_TOL_REL * q_range if q_range > 0.0 else abs(dq) > 0.0
+    open_phi = abs(dphi) > PHI_Q_TOL_REL * phi_range if phi_range > 0.0 else abs(dphi) > 0.0
     if open_q or open_phi:
         kind = PhiQKind.OPEN
-    elif phi_range > 0.0 and spread > tol_rel * phi_range:
+    elif phi_range > 0.0 and spread > PHI_Q_TOL_REL * phi_range:
         kind = PhiQKind.CLOSED_MULTIVALUED
     else:
         kind = PhiQKind.SINGLE_VALUED

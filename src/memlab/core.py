@@ -12,6 +12,7 @@ import builtins
 import enum
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -161,13 +162,12 @@ ColumnFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 @dataclass(frozen=True, eq=False)
 class Rate:
     """A derivative as one Python expression in x, u and t; names binds what
-    else it reads, builtins aside. Calling it runs it, compiled once; the RK4
-    kernel writes it into each stage instead. A source that is not one
+    else it reads, builtins aside. Calling it runs it, compiled on first call;
+    the RK4 kernel writes it into each stage instead. A source that is not one
     expression, or reads a name neither bound nor builtin, is a ConfigError."""
 
     source: str
     names: Mapping[str, object] = field(default_factory=dict)
-    fn: RateFn = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -177,8 +177,11 @@ class Rate:
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         if unbound := sorted(read - {"x", "u", "t", *self.names, *vars(builtins)}):
             raise ConfigError(f"rate {self.source!r} reads unbound names {', '.join(unbound)}")
-        code = compile(f"lambda x, u, t: {ast.unparse(tree)}", "<rate>", "eval")
-        object.__setattr__(self, "fn", eval(code, dict(self.names)))
+
+    @cached_property
+    def fn(self) -> RateFn:
+        tree = ast.parse(self.source, mode="eval")
+        return eval(compile(f"lambda x, u, t: {ast.unparse(tree)}", "<rate>", "eval"), dict(self.names))
 
     def __call__(self, x, u, t):
         return self.fn(x, u, t)

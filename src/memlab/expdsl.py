@@ -346,11 +346,9 @@ class _Parser:
 
     def _built(self, tok: Token, fn, *args, **kwargs):
         """fn(*args, **kwargs), with a ConfigError from it raised as a
-        ParseError at tok; a ParseError keeps its own position."""
+        ParseError at tok."""
         try:
             return fn(*args, **kwargs)
-        except ParseError:
-            raise
         except ConfigError as exc:
             self._fail(str(exc), tok)
 

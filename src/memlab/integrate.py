@@ -120,35 +120,29 @@ def _resolve_event_tol(controls: SimControls, dt: float) -> float:
     return controls.event_tolerance
 
 
-def _components_read(tree, n: int) -> tuple[int, ...] | None:
-    """The components of x a rate's expression reads, when it reads x only as
-    x[i] with a constant int 0 <= i < n, and for one state not at all; else
-    None."""
-    xs = sum(isinstance(node, ast.Name) and node.id == "x" for node in ast.walk(tree))
-    parts = [
-        node.slice.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "x"
-        and isinstance(node.slice, ast.Constant) and type(node.slice.value) is int
-        and n > 1 and 0 <= node.slice.value < n
-    ]
-    return tuple(sorted(set(parts))) if len(parts) == xs else None
-
-
 class _Stage(ast.NodeTransformer):
-    """A rate's expression as one RK4 stage reads it: each name renamed by
-    names, and where split, x[i] read as the local names["x"] + str(i)."""
+    """A rate's expression as one RK4 stage of an n-state model reads it, each
+    name renamed by names: x[i] with a constant int 0 <= i < n, n > 1, is the
+    stage local names["x"] + str(i), and any other x the tuple of all n stage
+    locals, for one state the one. read holds the components read."""
 
-    def __init__(self, names: dict, split: bool):
-        self.names, self.split = names, split
+    def __init__(self, names: dict, n: int):
+        self.names, self.n, self.read = names, n, set()
+
+    def local(self, i: int):
+        self.read.add(i)
+        return ast.Name(self.names["x"] + str(i))
 
     def visit_Name(self, node):
+        if node.id == "x":
+            return ast.Tuple([*map(self.local, range(self.n))]) if self.n > 1 else self.local(0)
         node.id = self.names.get(node.id, node.id)
         return node
 
     def visit_Subscript(self, node):
-        if self.split and isinstance(node.value, ast.Name) and node.value.id == "x":
-            return ast.Name(self.names["x"] + str(node.slice.value))
+        i = node.slice.value if isinstance(node.slice, ast.Constant) and self.n > 1 else None
+        if isinstance(node.value, ast.Name) and node.value.id == "x" and type(i) is int and 0 <= i < self.n:
+            return self.local(i)
         return self.generic_visit(node)
 
 
@@ -178,33 +172,31 @@ def _kernel_code(source: str, names: tuple[str, ...], n: int, monitor: int):
     ValueError. A stage writes in the rate's expression with x, u and t
     renamed to the stage's state, input and time, and each bound name to "_"
     + name, which no template name starts with, a default argument of each
-    kernel, so a stage reads it as a local. A rate that reads x only as x[i]
-    with constant i (for one state, not at all) reads a stage's state as one
-    local per component read, and its other components are not computed.
+    kernel, so a stage reads it as a local, and the state as the locals of
+    the components it reads (see _Stage), the only ones a stage computes.
     Every component takes the same operations in the same order."""
     tree = ast.parse(source, mode="eval")
     reads_t = any(isinstance(node, ast.Name) and node.id == "t" for node in ast.walk(tree))
-    split = _components_read(tree, n)
     bound = "".join(f", _{name}=_{name}" for name in names)
 
     def components(term):
         each = ", ".join(term.replace("#", str(i)) for i in range(n))
         return each if n == 1 else f"({each})"
 
-    def state(name, term):
-        if split is None:
-            return f"{name} = {components(term)}\n"
-        return "".join(f"{name}{i} = {term.replace('#', str(i))}\n" for i in split)
-
     def derivative(x, u, t):
-        renamed = {**{name: "_" + name for name in names}, "x": x, "u": u, "t": t}
-        return ast.unparse(_Stage(renamed, split is not None).visit(ast.parse(source, mode="eval")))
+        stage = _Stage({**{name: "_" + name for name in names}, "x": x, "u": u, "t": t}, n)
+        return ast.unparse(stage.visit(ast.parse(source, mode="eval"))), sorted(stage.read)
+
+    rate, read = derivative("x", "u1", "ta")
+
+    def state(name, term):
+        return "".join(f"{name}{i} = {term.replace('#', str(i))}\n" for i in read)
 
     stages = f"""{components('x#')} = x
-{components('a#')} = {derivative('x', 'u1', 'ta')}
-{state('xb', 'x# + h2 * a#')}{components('b#')} = {derivative('xb', 'um', 'tm')}
-{state('xc', 'x# + h2 * b#')}{components('c#')} = {derivative('xc', 'um', 'tm')}
-{state('xd', 'x# + h * c#')}{components('d#')} = {derivative('xd', 'u4', 'tb')}
+{components('a#')} = {rate}
+{state('xb', 'x# + h2 * a#')}{components('b#')} = {derivative('xb', 'um', 'tm')[0]}
+{state('xc', 'x# + h2 * b#')}{components('c#')} = {derivative('xc', 'um', 'tm')[0]}
+{state('xd', 'x# + h * c#')}{components('d#')} = {derivative('xd', 'u4', 'tb')[0]}
 y = {components('x# + h6 * (a# + 2.0 * (b# + c#) + d#)')}
 """
     # a stage at an end that is a break (at_a, at_b) is taken 1e-9 of the
@@ -262,21 +254,6 @@ def locate(x, x_hi, a, hi, at_a, side, value=value, thresholds=thresholds, tol=t
     return compile(src, f"<rk4 on {n} states>", "exec"), reads_t
 
 
-def _kernels(f, n, monitor, value, thresholds, tol):
-    """step, run and locate (see _kernel_code) for an n-state model on f, a
-    Rate, or any f(x, u, t), which the stages call; value is the drive's,
-    and thresholds and tol those of locate. Also whether f reads t."""
-    source, names = (f.source, f.names) if isinstance(f, Rate) else ("f(x, u, t)", {"f": f})
-    code, reads_t = _kernel_code(source, tuple(names), n, monitor)
-    scope = {"_" + name: bound for name, bound in names.items()}
-    scope.update(value=value, thresholds=thresholds, tol=tol, bisect_right=bisect_right)
-    # defined apart from the scope they read, so that no reference cycle
-    # holds the kernels past the run
-    kernels: dict = {}
-    exec(code, scope, kernels)
-    return kernels["step"], kernels["run"], kernels["locate"], reads_t
-
-
 class _Engine:
     """The stepping machinery of one simulate run."""
 
@@ -291,14 +268,19 @@ class _Engine:
         # threshold is never crossed
         thresholds = tuple(sorted(th for th in model.thresholds if not math.isnan(th)))
         self.sorted_thresholds = thresholds
-        # the RK4 kernels, written out for the state size. side(x) is the
-        # count of thresholds at or below x's monitored component, and
-        # bounds[side(x)] the (lo, up) that run keeps a state between: lo <=
-        # x < up holds for a finite x on that side, and for nothing else
-        monitor = model.threshold_component
-        self.step, self.run, self.locate, self.reads_t = _kernels(
-            model.f, model.state_dim, monitor, self.value, thresholds, event_tol
-        )
+        monitor, f = model.threshold_component, model.f
+        source, names = (f.source, f.names) if isinstance(f, Rate) else ("f(x, u, t)", {"f": f})
+        code, self.reads_t = _kernel_code(source, tuple(names), model.state_dim, monitor)
+        scope = {"_" + name: bound for name, bound in names.items()}
+        scope.update(value=self.value, thresholds=thresholds, tol=event_tol, bisect_right=bisect_right)
+        # the kernels of _kernel_code, defined apart from the scope they read,
+        # so that no reference cycle holds them past the run
+        kernels: dict = {}
+        exec(code, scope, kernels)
+        self.step, self.run, self.locate = kernels["step"], kernels["run"], kernels["locate"]
+        # side(x) is the count of thresholds at or below x's monitored component,
+        # and bounds[side(x)] the (lo, up) that run keeps a state between: lo <= x
+        # < up holds for a finite x on that side, and for nothing else
         top = sys.float_info.max
         cuts = (-top, *(max(th, -top) for th in thresholds), math.inf)
         self.bounds = list(zip(cuts, cuts[1:]))

@@ -65,3 +65,27 @@ def switch_times(amplitude, frequency, q0, n):
             rising = math.acos(c)
             times += [rising / w, (2.0 * math.pi - rising) / w]
     return sorted(times)
+
+
+def switched_chain_charge(t, amplitude, frequency):
+    """The switched chain's charge at t under i = A*sin(wt) from q = 0. Its
+    rate is the current, whatever r1 and the switches do, so q(t) =
+    (A/w)(1 - cos wt)."""
+    w = 2.0 * math.pi * frequency
+    return amplitude / w * (1.0 - math.cos(w * t))
+
+
+def capacitor_chain_state(t, amplitude, frequency, r1, cap):
+    """(v_c, q_r1) at t of the capacitor chain with a constant r1 under i =
+    A*sin(wt) from (0, 0). cap * dv_c/dt = i - v_c/r1 is linear with
+    sinusoidal forcing: with tau = r1*cap and K = A/(cap*(w^2 + 1/tau^2)),
+    v_c(t) = K*(sin(wt)/tau - w*cos(wt)) + K*w*exp(-t/tau), and q_r1 is the
+    integral of v_c/r1 from 0:
+    K*((1 - cos wt)/(w*tau) - sin wt + w*tau*(1 - exp(-t/tau)))/r1."""
+    w = 2.0 * math.pi * frequency
+    tau = r1 * cap
+    k = amplitude / (cap * (w * w + 1.0 / (tau * tau)))
+    decay = math.exp(-t / tau)
+    v_c = k * (math.sin(w * t) / tau - w * math.cos(w * t)) + k * w * decay
+    q_r1 = k * ((1.0 - math.cos(w * t)) / (w * tau) - math.sin(w * t) + w * tau * (1.0 - decay)) / r1
+    return v_c, q_r1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,8 @@ from memlab.analyze import (
     phi_spread_at_equal_q,
     sweep_monotonicity,
 )
-from memlab.core import terminal_pair
+from memlab.core import Rate, memristive, terminal_pair
+from memlab.integrate import BlowUpError, SimulationError
 from memlab.models import SwitchedNetworkParams, switched_network
 
 
@@ -172,6 +174,32 @@ def test_phi_spread_single_valued_curve():
     assert phi_spread_at_equal_q(traj, cycle_index=0) < 1e-9
 
 
+@pytest.mark.parametrize("measure", [per_cycle_drifts, phi_spread_at_equal_q])
+def test_flux_charge_measures_need_cycles_and_integrals(measure):
+    traj = _closed_loop_traj()
+    for missing, message in (
+        ({"steps_per_cycle": None}, "trajectory has no cycle metadata"),
+        ({"q": None}, "trajectory integrals not accumulated"),
+        ({"phi": None}, "trajectory integrals not accumulated"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            measure(dataclasses.replace(traj, **missing))
+        assert str(exc.value) == message
+
+
+def test_branches_without_a_sample_in_their_overlap_are_not_separated():
+    # the branch q = [0, 1] has no sample inside its overlap [0.4, 0.6] with
+    # the branch q = [0.4, 0.6]
+    q = np.array([0.0, 1.0, 0.4, 0.6])
+    assert analyze._branch_separation(q, np.array([0.0, 5.0, -3.0, 7.0]), (0, 1), (2, 3)) == 0.0
+
+
+def test_phi_spread_is_zero_when_q_never_reverses():
+    q = np.linspace(0.0, 1.0, 201)
+    traj = _traj_from_vi(np.ones_like(q), np.ones_like(q), steps_per_cycle=100, phi=q * q, q=q)
+    assert phi_spread_at_equal_q(traj, cycle_index=0) == 0.0
+
+
 def test_phi_q_classify_three_kinds():
     closed = phi_q_classify(_closed_loop_traj(r=1.0))
     assert closed.kind is PhiQKind.CLOSED_MULTIVALUED
@@ -206,6 +234,13 @@ def test_linearity_fit_reports_curvature():
     i = np.sin(th)
     fit = linearity_fit(_traj_from_vi(5.0 * i + 0.5 * i**3, i))
     assert fit.relative_rms_residual > 1e-3
+
+
+def test_linearity_fit_of_zero_voltage_has_no_residual():
+    i = np.sin(np.linspace(0.0, 2.0 * math.pi, 300))
+    fit = linearity_fit(_traj_from_vi(np.zeros(300), i))
+    assert fit.slope == 0.0
+    assert fit.relative_rms_residual == 0.0
 
 
 def test_linearity_fit_rejects_zero_current():
@@ -255,6 +290,19 @@ def test_sweep_tags_failing_frequency():
     # dt legal at 0.1 Hz but violates the period/200 cap at 10 Hz
     with pytest.raises(ConfigError, match="10.0"):
         frequency_sweep(m, d, [0.1, 10.0], SimControls(dt=0.05, transient_cycles=1))
+
+
+def test_sweep_tags_a_failed_run_with_its_frequency():
+    # dx/dt = x * x from x = 1 leaves the finite range near t = 1 s, inside
+    # the first cycle at 0.1 Hz
+    m = memristive(SignalKind.CURRENT, Rate("x * x"), g=lambda X, U, T: 1.0 + 0.0 * X[:, 0],
+                   initial_state=(1.0,))
+    d = Drive(SignalKind.CURRENT, Sinusoid(amplitude=1.0, frequency=0.1))
+    with pytest.raises(SimulationError) as exc:
+        frequency_sweep(m, d, [0.1], SimControls(transient_cycles=1))
+    assert type(exc.value) is SimulationError
+    assert isinstance(exc.value.__cause__, BlowUpError)
+    assert str(exc.value) == f"sweep at 0.1 Hz: {exc.value.__cause__}"
 
 
 def _point(f, norm):

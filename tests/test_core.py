@@ -219,6 +219,16 @@ def test_a_rate_evaluates_its_expression_on_its_bound_names():
     assert rate(1.0, 4.0, -0.5) == 6.75
 
 
+def test_a_rate_is_compiled_on_its_first_call():
+    # simulate writes the expression into its kernels and never calls fn,
+    # so a Rate built for a run holds no compiled function
+    rate = Rate("k * (u - x) * t", {"k": 2.0})
+    assert "fn" not in vars(rate)
+    assert rate(1.0, 4.0, 0.5) == 3.0
+    assert "fn" in vars(rate)
+    assert rate.fn(0.0, 1.0, 1.0) == 2.0
+
+
 @pytest.mark.parametrize(
     "source, names, message",
     [
@@ -311,6 +321,36 @@ def test_trajectory_window_plain_slice():
     w = traj.window(10, 20)
     assert len(w) == 10
     assert w.t[0] == traj.t[10]
+
+
+@pytest.mark.parametrize("column", ["u", "y", "v", "i"])
+def test_a_trajectory_column_of_another_length_is_refused(column):
+    traj = _toy_traj(n=100)
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(traj, **{column: getattr(traj, column)[:-1]})
+    assert str(exc.value) == f"column {column} length differs from t"
+
+
+def test_a_trajectory_state_of_another_row_count_is_refused():
+    traj = _toy_traj(n=100)
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(traj, state=traj.state[:-1])
+    assert str(exc.value) == "state row count differs from t"
+
+
+def test_cycles_need_the_cycle_metadata():
+    traj = dataclasses.replace(_toy_traj(n=100), steps_per_cycle=None)
+    for ask in (lambda: traj.n_cycles, lambda: traj.cycle(0)):
+        with pytest.raises(ValueError) as exc:
+            ask()
+        assert str(exc.value) == "trajectory has no cycle metadata"
+
+
+def test_one_sample_cannot_be_integrated():
+    traj = _toy_traj(n=100).window(0, 1)
+    with pytest.raises(ValueError) as exc:
+        accumulate_integrals(traj)
+    assert str(exc.value) == "need at least two samples to integrate"
 
 
 def test_the_package_exports_exactly_what_readme_lists():

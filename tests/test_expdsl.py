@@ -132,12 +132,61 @@ def test_attached_unit_suffix():
             "drive current sinusoid { amplitude = 1 A frequency = 1 Hz }",
             "r1_low",
         ),
+        (
+            "model thermistor { }\n"
+            'drive current sinusoid { amplitude = "x" frequency = 1 Hz }',
+            "line 3, col 38: expected a number or true/false, got 'x'",
+        ),
+        (
+            "model thermistor { }\ndrive current sinusoid { amplitude = 1 A frequency = 1 Hz }\n"
+            "simulate { }",
+            "line 4, col 1: expected a block keyword, got 'simulate'",
+        ),
+        (
+            "model thermistor { }\ndrive power sinusoid { amplitude = 1 A frequency = 1 Hz }",
+            "line 3, col 7: drive kind must be 'current' or 'voltage', got 'power'",
+        ),
+        (
+            "model thermistor { }\ndrive current triangle { amplitude = 1 A frequency = 1 Hz }",
+            "line 3, col 15: waveform must be 'sinusoid' or 'square', got 'triangle'",
+        ),
+        (
+            "model thermistor { }\ndrive current sinusoid { amplitude = 1 A frequency = 1 Hz }\n"
+            "analyze { 42 }",
+            "line 4, col 11: expected an analysis name, got '42'",
+        ),
+        (
+            "model thermistor { }\ndrive current sinusoid { amplitude = 1 A frequency = 1 Hz }\n"
+            "analyze { pinch pinch }",
+            "line 4, col 17: duplicate analysis 'pinch'",
+        ),
+        (
+            "model thermistor { }\ndrive current sinusoid { amplitude = 1 A frequency = 1 Hz }\n"
+            "analyze { sweep(true) }",
+            "line 4, col 17: sweep frequencies must be numbers",
+        ),
+        (
+            "model thermistor { }\ndrive current sinusoid { amplitude = 1 A frequency = 1 Hz }\n"
+            "analyze { sweep(1 Hz 2 Hz) }",
+            "line 4, col 22: expected ',' or ')', got '2'",
+        ),
+        (
+            "model thermistor { 3 }",
+            "line 2, col 20: expected a key or '}' in model 'thermistor', got '3'",
+        ),
     ],
 )
 def test_validation_errors(src, needle):
     with pytest.raises(ParseError) as exc:
         parse_experiment("experiment bad\n" + src)
     assert needle in str(exc.value)
+
+
+def test_an_experiment_needs_a_name():
+    # the one failure a text that starts with "experiment bad" cannot reach
+    with pytest.raises(ParseError) as exc:
+        parse_experiment("experiment\n")
+    assert str(exc.value) == "line 2, col 1: expected experiment name, got ''"
 
 
 def test_kind_mismatch_points_at_drive():

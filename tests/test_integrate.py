@@ -47,7 +47,7 @@ from memlab.models import (
     thermistor,
 )
 
-from oracles import closed_switch_count, r1_of_t, switch_times
+from oracles import capacitor_chain_state, closed_switch_count, r1_of_t, switch_times, switched_chain_charge
 from test_models import _blank_trajectory, _recorded_y
 
 
@@ -571,6 +571,32 @@ def test_the_switched_chain_follows_its_closed_form_at_every_sample(name, preset
     assert np.count_nonzero(np.abs(traj.v - v) > 1e-9 * np.abs(v)) == 0
 
 
+# each preset's largest state error against its closed form, about ten
+# times the error measured: a change that moves the bytes must stay inside
+_STATE_BOUNDS = {
+    "fig8_9_switched": (1.1e-12,),  # measured 1.09e-13 C of a 3.18 C range
+    "fig14_15_tdr1": (1.2e-12,),  # 1.15e-13 C of 3.18 C
+    "fig17_tdr1_fast": (1.1e-14,),  # 1.1e-15 C of 0.0318 C
+    "fig16_cap": (8e-10, 8e-11),  # v_c 8.25e-11 V of 5.90 V, q_r1 8.33e-12 C
+}
+
+
+@pytest.mark.parametrize("name", _STATE_BOUNDS)
+def test_each_state_stays_near_its_closed_form(name, presets, sims):
+    # the charge of a switched chain, r1 toggling or not, and the state of
+    # the capacitor chain with a constant r1, each driven at phase 0 from rest
+    cfg, traj = presets[name], sims(name)
+    wave, p = cfg.drive.waveform, cfg.model_params
+    assert wave.phase == 0.0
+    if name == "fig16_cap":
+        exact = [capacitor_chain_state(t, wave.amplitude, wave.frequency, p["r1"], p["cap"])
+                 for t in traj.t.tolist()]
+    else:
+        exact = [(switched_chain_charge(t, wave.amplitude, wave.frequency),) for t in traj.t.tolist()]
+    errors = np.max(np.abs(traj.state - np.array(exact)), axis=0)
+    assert np.all(errors <= _STATE_BOUNDS[name]), errors
+
+
 def test_dc_drive_square_full_duty():
     m = thermistor()
     d = Drive(SignalKind.CURRENT, SquareWave(amplitude=1e-3, frequency=0.01, duty=1.0))
@@ -982,10 +1008,10 @@ def _rated(source, n, **names):
                    name=source)
 
 
-# rates that read x in each way the kernels tell apart. One that reads x only
-# as x[i] with a constant i, or for one state not at all, is stepped on one
-# local per component read, and its other components are integrated but
-# never staged; x whole, x[-1] and a bound index keep the whole-state stages
+# rates that read x in each way the kernels' stages tell apart: x[i] with a
+# constant i reads component i's stage local, and x whole, x[-1] or x[k] with
+# a bound k reads the tuple of all stage locals; a component that the rate
+# never reads is integrated but never staged
 _READS = {
     "no-x-reads-t": _rated("u * cos(t) - 1e-3", 1, cos=math.cos),
     "pair-no-x": _rated("(u, u * t)", 2),
