@@ -18,6 +18,7 @@ from .integrate import SimControls, SimulationError, resolve_step, simulate
 
 ORIGIN_TOL_REL = 0.01  # loop_area's origin passage, a share of max|v|
 PHI_Q_TOL_REL = 1e-3  # phi_q_classify's drift and spread, shares of a range
+PINCH_TOL_REL = 1e-6  # pinch_test's |v| and |i| at a crossing, shares of max|v| and max|i|
 
 
 def _zero_crossings(a: np.ndarray, b: np.ndarray) -> list[tuple[int, float, float]]:
@@ -58,22 +59,19 @@ class PinchReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def pinch_test(traj: Trajectory, eps_i: float | None = None, eps_v: float | None = None) -> PinchReport:
+def pinch_test(traj: Trajectory) -> PinchReport:
     """Does the v-i orbit pass through the origin at every current reversal?
 
     At each sign change of i the voltage is linearly interpolated (and vice
     versa); the loop is pinched when the worst interpolated |v| and |i| stay
-    below the thresholds. Defaults: 1e-6 of the respective max magnitude.
+    below eps_v and eps_i, PINCH_TOL_REL of max|v| and of max|i|.
     Raises ValueError when i has fewer than 2 sign changes (drive not bipolar).
     """
     i = traj.i
     v = traj.v
     i_max = float(np.max(np.abs(i))) if len(i) else 0.0
     v_max = float(np.max(np.abs(v))) if len(v) else 0.0
-    if eps_i is None:
-        eps_i = 1e-6 * i_max
-    if eps_v is None:
-        eps_v = 1e-6 * v_max
+    eps_i, eps_v = PINCH_TOL_REL * i_max, PINCH_TOL_REL * v_max
 
     v_at_zero_i = [b for _, _, b in _zero_crossings(i, v)]
     i_at_zero_v = [b for _, _, b in _zero_crossings(v, i)]
@@ -236,14 +234,14 @@ def _branch_separation(q, phi, run_a, run_b) -> float:
     return float(np.max(np.abs(pa[mask] - interp)))
 
 
-def phi_spread_at_equal_q(traj: Trajectory, cycle_index: int = -1) -> float:
+def phi_spread_at_equal_q(traj: Trajectory) -> float:
     """Worst |phi| disagreement at equal charge between the monotone-in-q
-    branches of one cycle. Measures how far the flux-charge curve is from
+    branches of the last cycle. Measures how far the flux-charge curve is from
     single-valued; resolution is limited by the sample grid, not by binning.
     """
     if traj.q is None or traj.phi is None:
         raise ValueError("trajectory integrals not accumulated")
-    cyc = traj.cycle(cycle_index % traj.n_cycles)
+    cyc = traj.cycle(traj.n_cycles - 1)
     q = np.asarray(cyc.q)
     phi = np.asarray(cyc.phi)
     runs = _monotone_runs(q)

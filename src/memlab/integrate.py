@@ -6,13 +6,14 @@ crossings are bisected to within the event tolerance. The sample grid itself is
 untouched; all splitting is internal to a grid step.
 
 One template of the RK4 stage arithmetic, written out for the state size and
-for the state components the rate reads, is compiled once per process into a
-single step, which the splitter takes, the bisection of a threshold crossing,
-and a stepping loop, which steps a chunk's break-free grid intervals in
-compiled code and hands back to the splitter each trial that leaves its
-threshold side or is not finite, as its first step. Each run binds its own
-values to the cached code. The loop records straight into the Trajectory
-that simulate returns, its start state in row 0.
+for the state components the rate reads, is compiled once per process into
+two functions: advance, the splitter's sub-step, which steps to the end of a
+break-free piece or to the bisected threshold crossing before it, and a
+stepping loop, which steps a chunk's break-free grid intervals in compiled
+code and hands back to the splitter each trial that leaves its threshold side
+or is not finite, as advance's trial. Each run binds its own values to the
+cached code. The loop records straight into the Trajectory that simulate
+returns, its start state in row 0.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ MAX_GRID_STEPS = 20_000_000
 # as columns, and stores each recorded column with one slice assignment
 CHUNK = 1024
 
-# bisections of one threshold crossing: each halves a bracket no wider than
-# dt, so more than this means event_tol is below the float spacing there
+# bisections of one threshold crossing, a guard against a loop that never
+# ends: a bracket is no wider than the power of two at or above dt, where
+# floats lie at most ulp(dt) apart, so a tolerance of at least ulp(dt) is
+# reached within about 54
 MAX_BISECT = 64
 
 
@@ -111,7 +114,7 @@ def _resolve_event_tol(controls: SimControls, dt: float) -> float:
         return dt * 1e-3
     if controls.event_tolerance >= dt:
         raise ConfigError("event_tolerance must be smaller than dt")
-    # bisection offsets lie in [0, dt], so no bracket gets narrower than ulp(dt)
+    # a bracket rounds past dt, never past the power of two above, where floats lie ulp(dt) apart
     if controls.event_tolerance < math.ulp(dt):
         raise ConfigError(
             f"event_tolerance = {controls.event_tolerance!r} is below the float spacing "
@@ -154,18 +157,19 @@ def _kernel_code(source: str, names: tuple[str, ...], n: int, monitor: int):
     the cache keeps no value of a run.
 
     One template of the stage arithmetic, written out component by component
-    (# stands for the component's index), is compiled into three functions.
-    step(x, a, b, at_a=False, at_b=False) takes one classical RK4 step over
-    [a, b]. run(x, u1, grid, lo, up, push) takes it over each grid row (um,
-    u4, h, 0.5*h, h/6.0, then ta, tm, tb if the rate reads t), u1 being the
-    row before's u4, and pushes each new state y; it returns (x, None) when
-    the rows end, and (x, y), not pushed, at a y whose monitored component
-    fails lo <= y < up or whose others are not finite. locate(x, x_hi, a, hi,
-    at_a, side) bisects a threshold crossing of x_hi, the step over [a, a +
-    hi], off side (the count of thresholds at or below the monitored
-    component): each probe steps over [a, a + mid] as step does, mid halving
-    [lo, hi], until hi - lo <= tol or after MAX_BISECT probes. It returns
-    (lo, hi, x_hi), x_hi the probe at a + hi.
+    (# stands for the component's index), is compiled into two functions.
+    advance(x, trial, a, b, at_a, at_b, side) takes one classical RK4 step y
+    over [a, b], or the trial already taken, and returns (b, y) while y's
+    side (the count of thresholds at or below the monitored component) is
+    side. Otherwise it bisects the crossing: each probe steps over [a, a +
+    mid], mid halving [lo, hi] from [0, b - a], until hi - lo <= tol, and it
+    returns (a + hi, x_hi), x_hi the probe at a + hi; a bracket still wider
+    after MAX_BISECT probes raises EventLocalizationError. run(x, u1, grid,
+    lo, up, push) takes the step over each grid row (um, u4, h, 0.5*h,
+    h/6.0, then ta, tm, tb if the rate reads t), u1 being the row before's
+    u4, and pushes each new state y; it returns (x, None) when the rows end,
+    and (x, y), not pushed, at a y whose monitored component fails lo <= y <
+    up or whose others are not finite.
 
     One state steps a float, a larger state a tuple, each rate unpacked into
     exactly n components, so a derivative of another length raises
@@ -214,27 +218,19 @@ h6 = h / 6.0
     stays = "lo <= y < up" if n == 1 else " and ".join(
         f"lo <= y[{i}] < up" if i == monitor else f"-{top} <= y[{i}] <= {top}" for i in range(n)
     )
-    src = f"""def step(x, a, b, at_a=False, at_b=False, value=value{bound}):
-{textwrap.indent(times, "    ")}    u1 = value(ta)
-    um = value(tm)
-    u4 = value(tb)
-{textwrap.indent(stages, "    ")}    return y
-
-def run(x, u1, grid, lo, up, push{bound}):
-    for um, u4, h, h2, h6{", ta, tm, tb" if reads_t else ""} in grid:
-{textwrap.indent(stages, "        ")}        if not ({stays}):
-            return x, y
-        x = y
-        push(y)
-        u1 = u4
-    return x, None
-
-def locate(x, x_hi, a, hi, at_a, side, value=value, thresholds=thresholds, tol=tol,
-           bisect_right=bisect_right{bound}):
-    lo = 0.0
-    at_b = False
-    if not at_a:
+    y_monitor = "y" if n == 1 else f"y[{monitor}]"
+    src = f"""def advance(x, trial, a, b, at_a, at_b, side, value=value, thresholds=thresholds, tol=tol,
+            bisect_right=bisect_right, EventLocalizationError=EventLocalizationError{bound}):
+    if trial is None:
+{textwrap.indent(times, "        ")}        u1 = value(ta)
+        um = value(tm)
+        u4 = value(tb)
+{textwrap.indent(stages, "        ")}    else:
+        y = trial
         u1 = value(a)
+    if bisect_right(thresholds, {y_monitor}) == side:
+        return b, y
+    lo, hi, x_hi, at_b = 0.0, b - a, y, False
     probes = 0
     while hi - lo > tol and probes < {MAX_BISECT}:
         probes += 1
@@ -244,12 +240,24 @@ def locate(x, x_hi, a, hi, at_a, side, value=value, thresholds=thresholds, tol=t
             u1 = value(ta)
         um = value(tm)
         u4 = value(tb)
-{textwrap.indent(stages, "        ")}        if bisect_right(thresholds, {"y" if n == 1 else f"y[{monitor}]"}) != side:
+{textwrap.indent(stages, "        ")}        if bisect_right(thresholds, {y_monitor}) != side:
             hi = mid
             x_hi = y
         else:
             lo = mid
-    return lo, hi, x_hi
+    if hi - lo > tol:
+        raise EventLocalizationError(f"threshold crossing near t = {{a}} not localized in "
+                                     f"{MAX_BISECT} bisections")
+    return a + hi, x_hi
+
+def run(x, u1, grid, lo, up, push{bound}):
+    for um, u4, h, h2, h6{", ta, tm, tb" if reads_t else ""} in grid:
+{textwrap.indent(stages, "        ")}        if not ({stays}):
+            return x, y
+        x = y
+        push(y)
+        u1 = u4
+    return x, None
 """
     return compile(src, f"<rk4 on {n} states>", "exec"), reads_t
 
@@ -260,24 +268,23 @@ class _Engine:
     def __init__(self, model, drive: Drive, dt: float, event_tol: float):
         self.model = model
         self.dt = dt
-        self.event_tol = event_tol
         self.waveform, self.value = drive.waveform, drive.waveform.value
         self.specs = (*model.breaks, *drive.waveform.breaks)
         # which thresholds the monitored component lies between is the count
         # of them at or below it; nothing compares below NaN, so a NaN
         # threshold is never crossed
         thresholds = tuple(sorted(th for th in model.thresholds if not math.isnan(th)))
-        self.sorted_thresholds = thresholds
         monitor, f = model.threshold_component, model.f
         source, names = (f.source, f.names) if isinstance(f, Rate) else ("f(x, u, t)", {"f": f})
         code, self.reads_t = _kernel_code(source, tuple(names), model.state_dim, monitor)
         scope = {"_" + name: bound for name, bound in names.items()}
-        scope.update(value=self.value, thresholds=thresholds, tol=event_tol, bisect_right=bisect_right)
+        scope.update(value=self.value, thresholds=thresholds, tol=event_tol, bisect_right=bisect_right,
+                     EventLocalizationError=EventLocalizationError)
         # the kernels of _kernel_code, defined apart from the scope they read,
         # so that no reference cycle holds them past the run
         kernels: dict = {}
         exec(code, scope, kernels)
-        self.step, self.run, self.locate = kernels["step"], kernels["run"], kernels["locate"]
+        self.advance, self.run = kernels["advance"], kernels["run"]
         # side(x) is the count of thresholds at or below x's monitored component,
         # and bounds[side(x)] the (lo, up) that run keeps a state between: lo <= x
         # < up holds for a finite x on that side, and for nothing else
@@ -294,7 +301,7 @@ class _Engine:
     def breaks(self, t0: float, t1: float) -> list[float]:
         """The break times in [t0, t1], sorted: off + m*period for integer m,
         each spec and offset. A break within 1e-9 of its period of an end is
-        returned as that end: step evaluates a stage there a hair inside the
+        returned as that end: advance evaluates a stage there a hair inside the
         interval, and grid_step splits only at the breaks between the ends.
         A time within 1e-12 of the step after the one before it is dropped,
         unless it is t1: each end found is returned."""
@@ -322,39 +329,25 @@ class _Engine:
         return merged
 
     def grid_step(self, x: float | tuple, t0: float, t1: float, trial=None) -> list:
-        """Advance x over the grid interval [t0, t1], split at events; returns
-        the sub-step ends [(t, x), ...], the last at t1.
+        """Advance x over the grid interval [t0, t1], split at its breaks;
+        returns the sub-step ends [(t, x), ...], the last at t1.
 
-        The breaks strictly inside are split exactly. A step crosses a
-        threshold when the count of thresholds at or below the monitored
-        state component changes, and the crossing is bisected on the step
-        size by locate until the bracket is below event_tol, the step landing
-        on the crossed side. trial, when given, is step(x, t0, t1) already
-        taken over an interval without breaks.
+        The breaks strictly inside split it exactly, and advance takes each
+        piece from x's threshold side, a sub-step at a time: a step that
+        crosses a threshold ends at the bisected crossing, on the crossed
+        side. trial, when given, is the step over [t0, t1], which has no
+        breaks, already taken.
         """
         ends = self.breaks(t0, t1)
         bounds = [t0, *[tb for tb in ends if t0 < tb < t1], t1]
-        thresholds, side_of = self.sorted_thresholds, self.side
-        step = self.step
         out: list = []
         for a, b in zip(bounds, bounds[1:]):
             # a bound is a break when breaks returned it; the start of the
-            # sub-step after a crossing and the far end of a probe are not
+            # sub-step after a crossing is not
             at_a, at_b = a in ends, b in ends
             while b - a > 0.0:
-                x1 = step(x, a, b, at_a, at_b) if trial is None else trial
-                trial = None
-                if not thresholds or (side := side_of(x)) == side_of(x1):
-                    out.append((b, x1))
-                    x = x1
-                    break
-                lo, hi, x = self.locate(x, x1, a, b - a, at_a, side)
-                if hi - lo > self.event_tol:
-                    raise EventLocalizationError(
-                        f"threshold crossing near t = {a} not localized in {MAX_BISECT} bisections"
-                    )
-                a = a + hi
-                at_a = False
+                a, x = self.advance(x, trial, a, b, at_a, at_b, self.side(x))
+                trial, at_a = None, False
                 out.append((a, x))
         return out
 
@@ -375,7 +368,7 @@ class _Engine:
         # run steps the rows from the next interval to the last one ending at
         # or before hi, memoryview slices of the chunk's columns; every other
         # interval, the first one included, goes to grid_step with run's
-        # trial, if any, as its first step: grid_step bisects a trial that
+        # trial, if any, as its first step: advance bisects a trial that
         # crosses a threshold and takes one that stays, checked finite here.
         dt = self.dt
         columns = self.waveform.columns

@@ -88,7 +88,6 @@ def test_pinch_custom_thresholds():
     i = np.sin(th)
     v = 2.0 * i + 0.01
     assert not pinch_test(_traj_from_vi(v, i)).pinched
-    assert pinch_test(_traj_from_vi(v, i), eps_i=0.01, eps_v=0.02).pinched
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +170,7 @@ def test_phi_spread_single_valued_curve():
     q = np.sin(th)
     phi = q * q  # same value on both sweeps of q
     traj = _traj_from_vi(np.zeros_like(q), q, steps_per_cycle=1000, phi=phi, q=q)
-    assert phi_spread_at_equal_q(traj, cycle_index=0) < 1e-9
+    assert phi_spread_at_equal_q(traj) < 1e-9
 
 
 @pytest.mark.parametrize("measure", [per_cycle_drifts, phi_spread_at_equal_q])
@@ -197,7 +196,7 @@ def test_branches_without_a_sample_in_their_overlap_are_not_separated():
 def test_phi_spread_is_zero_when_q_never_reverses():
     q = np.linspace(0.0, 1.0, 201)
     traj = _traj_from_vi(np.ones_like(q), np.ones_like(q), steps_per_cycle=100, phi=q * q, q=q)
-    assert phi_spread_at_equal_q(traj, cycle_index=0) == 0.0
+    assert phi_spread_at_equal_q(traj) == 0.0
 
 
 def test_phi_q_classify_three_kinds():
