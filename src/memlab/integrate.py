@@ -11,9 +11,12 @@ two functions: advance, the splitter's sub-step, which steps to the end of a
 break-free piece or to the bisected threshold crossing before it, and a
 stepping loop, which steps a chunk's break-free grid intervals in compiled
 code and hands back to the splitter each trial that leaves its threshold side
-or is not finite, as advance's trial. Each run binds its own values to the
-cached code. The loop records straight into the Trajectory that simulate
-returns, its start state in row 0.
+or is not finite, as advance's trial. A rate that reads no state and is
+column-safe (the switched chain's u) gets a third function, which evaluates
+the same stages on a chunk's columns with numpy into one increment column per
+component, and its stepping loop only adds each increment to the state. Each
+run binds its own values to the cached code. The loop records straight into
+the Trajectory that simulate returns, its start state in row 0.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ from .core import (
 )
 
 
-# the most grid steps one run may take: about 19 s at 0.95 us a one-state step
-# (fig6_7 on a 2-vCPU Xeon, CPython 3.11), and a record of at most 1 GB
+# the most grid steps one run may take: about 15 to 17 s at the 0.76 to 0.85
+# us of a one-state row-loop step (fig6_7's thermistor on a 2-vCPU Xeon,
+# CPython 3.11), and a record of at most 1 GB
 MAX_GRID_STEPS = 20_000_000
 
 # grid intervals per chunk: march takes a chunk's grid times and drive samples
@@ -149,11 +153,46 @@ class _Stage(ast.NodeTransformer):
         return self.generic_visit(node)
 
 
+def _column_kind(node, names: dict):
+    """int for a column-safe node (see _column_safe) that is an int, float for
+    any other column-safe node, None for a node that is not."""
+    if isinstance(node, ast.Name) and node.id in ("u", "t"):
+        return float
+    if isinstance(node, ast.Constant) or isinstance(node, ast.Name) and node.id != "x":
+        value = node.value if isinstance(node, ast.Constant) else names.get(node.id)
+        if type(value) is float or type(value) is int and abs(value) <= 2**53:
+            return type(value)
+        return None
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        return _column_kind(node.operand, names)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+        sides = {_column_kind(node.left, names), _column_kind(node.right, names)}
+        divisor = node.right.value if isinstance(node.right, ast.Constant) else 0
+        if sides <= {int, float} and sides != {int} and (divisor or not isinstance(node.op, ast.Div)):
+            return float
+    return None
+
+
+def _column_safe(source: str, names: dict, n: int) -> bool:
+    """Whether a rate can be stepped from increment columns: it reads no x,
+    and each of its n components (a tuple of n when n > 1) is built only
+    from u, t, float constants and bound floats, and ints of at most 2**53
+    in magnitude, never two of them paired, with binary + - * / and unary
+    + and -, every divisor a nonzero literal. Such a rate cannot raise, and
+    numpy's elementwise operations round each of its operations as the
+    scalar operation does."""
+    body = ast.parse(source, mode="eval").body
+    parts = body.elts if n > 1 and isinstance(body, ast.Tuple) else [body]
+    return len(parts) == n and all(_column_kind(part, names) for part in parts)
+
+
 @lru_cache(maxsize=64)
-def _kernel_code(source: str, names: tuple[str, ...], n: int, monitor: int):
+def _kernel_code(source: str, names: tuple[str, ...], n: int, monitor: int, columns: bool):
     """The code of the RK4 kernels of an n-state model whose rate is the
     expression source on the bound names, monitoring component monitor, and
-    whether the rate reads t. A run execs the code with its own values, so
+    whether the rate reads t; columns says the rate is column-safe (see
+    _column_safe) and is part of the key, so cached code serves only the
+    rates it was written for. A run execs the code with its own values, so
     the cache keeps no value of a run.
 
     One template of the stage arithmetic, written out component by component
@@ -169,7 +208,12 @@ def _kernel_code(source: str, names: tuple[str, ...], n: int, monitor: int):
     h/6.0, then ta, tm, tb if the rate reads t), u1 being the row before's
     u4, and pushes each new state y; it returns (x, None) when the rows end,
     and (x, y), not pushed, at a y whose monitored component fails lo <= y <
-    up or whose others are not finite.
+    up or whose others are not finite. With columns a third function,
+    increments(u1, um, u4, h6[, ta, tm, tb]), evaluates the same stages on
+    columns and returns the tuple of each component's increment h6 * (a +
+    2.0 * (b + c) + d), and run's grid rows are those increments (for one
+    state the floats themselves), each step y = x + inc, the row form's last
+    sum; u1 goes unread.
 
     One state steps a float, a larger state a tuple, each rate unpacked into
     exactly n components, so a derivative of another length raises
@@ -182,10 +226,13 @@ def _kernel_code(source: str, names: tuple[str, ...], n: int, monitor: int):
     tree = ast.parse(source, mode="eval")
     reads_t = any(isinstance(node, ast.Name) and node.id == "t" for node in ast.walk(tree))
     bound = "".join(f", _{name}=_{name}" for name in names)
+    t_args = ", ta, tm, tb" if reads_t else ""
+
+    def each(term):
+        return ", ".join(term.replace("#", str(i)) for i in range(n))
 
     def components(term):
-        each = ", ".join(term.replace("#", str(i)) for i in range(n))
-        return each if n == 1 else f"({each})"
+        return each(term) if n == 1 else f"({each(term)})"
 
     def derivative(x, u, t):
         stage = _Stage({**{name: "_" + name for name in names}, "x": x, "u": u, "t": t}, n)
@@ -196,13 +243,13 @@ def _kernel_code(source: str, names: tuple[str, ...], n: int, monitor: int):
     def state(name, term):
         return "".join(f"{name}{i} = {term.replace('#', str(i))}\n" for i in read)
 
-    stages = f"""{components('x#')} = x
-{components('a#')} = {rate}
+    rates = f"""{components('a#')} = {rate}
 {state('xb', 'x# + h2 * a#')}{components('b#')} = {derivative('xb', 'um', 'tm')[0]}
 {state('xc', 'x# + h2 * b#')}{components('c#')} = {derivative('xc', 'um', 'tm')[0]}
 {state('xd', 'x# + h * c#')}{components('d#')} = {derivative('xd', 'u4', 'tb')[0]}
-y = {components('x# + h6 * (a# + 2.0 * (b# + c#) + d#)')}
 """
+    increment = "h6 * (a# + 2.0 * (b# + c#) + d#)"
+    stages = f"{components('x#')} = x\n{rates}y = {components('x# + ' + increment)}\n"
     # a stage at an end that is a break (at_a, at_b) is taken 1e-9 of the
     # step inside, and at least 1e-15 of t, past the rounding by which a
     # waveform's own switch can miss the break time: it resolves on this
@@ -219,6 +266,10 @@ h6 = h / 6.0
         f"lo <= y[{i}] < up" if i == monitor else f"-{top} <= y[{i}] <= {top}" for i in range(n)
     )
     y_monitor = "y" if n == 1 else f"y[{monitor}]"
+    if columns:
+        rows, step, carry = each("inc#"), f"{components('x#')} = x\ny = {components('x# + inc#')}\n", ""
+    else:
+        rows, step, carry = f"um, u4, h, h2, h6{t_args}", stages, "u1 = u4\n"
     src = f"""def advance(x, trial, a, b, at_a, at_b, side, value=value, thresholds=thresholds, tol=tol,
             bisect_right=bisect_right, EventLocalizationError=EventLocalizationError{bound}):
     if trial is None:
@@ -251,13 +302,17 @@ h6 = h / 6.0
     return a + hi, x_hi
 
 def run(x, u1, grid, lo, up, push{bound}):
-    for um, u4, h, h2, h6{", ta, tm, tb" if reads_t else ""} in grid:
-{textwrap.indent(stages, "        ")}        if not ({stays}):
+    for {rows} in grid:
+{textwrap.indent(step, "        ")}        if not ({stays}):
             return x, y
         x = y
         push(y)
-        u1 = u4
-    return x, None
+{textwrap.indent(carry, "        ")}    return x, None
+"""
+    if columns:
+        src += f"""
+def increments(u1, um, u4, h6{t_args}{bound}):
+{textwrap.indent(rates, "    ")}    return {each(increment)},
 """
     return compile(src, f"<rk4 on {n} states>", "exec"), reads_t
 
@@ -276,7 +331,8 @@ class _Engine:
         thresholds = tuple(sorted(th for th in model.thresholds if not math.isnan(th)))
         monitor, f = model.threshold_component, model.f
         source, names = (f.source, f.names) if isinstance(f, Rate) else ("f(x, u, t)", {"f": f})
-        code, self.reads_t = _kernel_code(source, tuple(names), model.state_dim, monitor)
+        columns = isinstance(f, Rate) and _column_safe(source, names, model.state_dim)
+        code, self.reads_t = _kernel_code(source, tuple(names), model.state_dim, monitor, columns)
         scope = {"_" + name: bound for name, bound in names.items()}
         scope.update(value=self.value, thresholds=thresholds, tol=event_tol, bisect_right=bisect_right,
                      EventLocalizationError=EventLocalizationError)
@@ -285,6 +341,7 @@ class _Engine:
         kernels: dict = {}
         exec(code, scope, kernels)
         self.advance, self.run = kernels["advance"], kernels["run"]
+        self.increments = kernels.get("increments")
         # side(x) is the count of thresholds at or below x's monitored component,
         # and bounds[side(x)] the (lo, up) that run keeps a state between: lo <= x
         # < up holds for a finite x on that side, and for nothing else
@@ -370,9 +427,14 @@ class _Engine:
         # interval, the first one included, goes to grid_step with run's
         # trial, if any, as its first step: advance bisects a trial that
         # crosses a threshold and takes one that stays, checked finite here.
+        # A column-safe rate's increments are computed for the whole chunk
+        # with numpy, whose elementwise + - * / round as the scalar ones, so
+        # each step x + inc is the row form's last addition on the same
+        # increment; such a rate cannot raise, and its overflows give inf
+        # as the scalar operations do.
         dt = self.dt
         columns = self.waveform.columns
-        grid_step, run = self.grid_step, self.run
+        grid_step, run, increments = self.grid_step, self.run, self.increments
         breaks = self.breaks
         specs = self.specs
         if specs:
@@ -404,14 +466,18 @@ class _Engine:
             H2 = 0.5 * H
             TM = A + H2
             U = columns(g)
-            cols = [columns(TM), U[1:], H, H2, H / 6.0]
-            if self.reads_t:
-                cols += [A, TM, T1]
+            times = (A, TM, T1) if self.reads_t else ()
+            if increments:
+                with np.errstate(all="ignore"):
+                    cols = increments(U[:-1], columns(TM), U[1:], H / 6.0, *times)
+            else:
+                cols = (columns(TM), U[1:], H, H2, H / 6.0, *times)
             cols = [memoryview(col) for col in cols]
             try:
                 while True:
                     k, stop = len(xs), T1.searchsorted(hi, side="right")
-                    grid = zip(*(col[k:stop] for col in cols))
+                    # one column is the grid itself, its rows the floats
+                    grid = cols[0][k:stop] if len(cols) == 1 else zip(*(col[k:stop] for col in cols))
                     x, trial = run(x, float(U[k]), grid, *bounds[side], push)
                     if (k := len(xs)) == m:
                         break
